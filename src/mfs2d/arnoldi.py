@@ -3,8 +3,9 @@
 Orthonormalizes the monomial sequence 1, x, x^2, ... on a fixed node set
 without ever forming the (exponentially ill-conditioned) Vandermonde matrix.
 Starting from q0 = ones/sqrt(M), each step multiplies by diag(nodes) and
-orthogonalizes (modified Gram-Schmidt with one reorthogonalization pass),
-producing orthonormal columns Q and a Hessenberg H with
+orthogonalizes against all previous columns at once (block classical
+Gram-Schmidt, run twice), producing orthonormal columns Q and a Hessenberg H
+with
 
     diag(nodes) @ Q[:, :-1] = Q @ H.
 
@@ -12,7 +13,7 @@ The upper-triangular coordinates R of the monomials in the Q basis follow
 from the same recurrence (column k+1 of the Vandermonde matrix is
 diag(nodes) times column k), so R never touches the Vandermonde matrix
 either.  The basis extends to arbitrary new points by replaying the
-Hessenberg recurrence.
+Hessenberg recurrence, one cache-sized block of points at a time.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNodesError
+
+# Points per block in evaluate_basis: a block of the output (CHUNK rows by
+# degree + 1 complex columns) stays in cache while the recurrence sweeps it.
+CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -88,12 +93,12 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
     q[:, 0] = 1.0 / np.sqrt(m)
     for k in range(n):
         v = x * q[:, k]
+        qk = q[:, : k + 1]
         coeffs = np.zeros(k + 1, dtype=complex)
-        for _ in range(2):    # MGS + one reorthogonalization pass
-            for i in range(k + 1):
-                c = np.vdot(q[:, i], v)
-                v -= c * q[:, i]
-                coeffs[i] += c
+        for _ in range(2):    # classical Gram-Schmidt, run twice (CGS2)
+            c = np.conj(np.conj(v) @ qk)    # qk^H v without copying qk^H
+            v -= qk @ c
+            coeffs += c
         norm = float(np.linalg.norm(v))
         if norm == 0.0 or norm < 1e-14 * scale:
             raise DegenerateNodesError(k)
@@ -114,17 +119,24 @@ def evaluate_basis(factor: ArnoldiFactor, new_nodes) -> np.ndarray:
     Replays the Hessenberg recurrence with the stored coefficients, starting
     from the same constant 1/sqrt(M) used at construction, so feeding the
     original nodes back reproduces Q.  Returns shape (n_points, degree + 1).
+    Each row depends only on its own point, so the points are processed in
+    blocks of CHUNK rows, each written in place into its slice of the output.
     """
     x = np.asarray(new_nodes, dtype=complex).ravel()
     n = factor.degree
+    h = factor.h
+    sub = np.diagonal(h, -1)
+    zero = np.flatnonzero(sub == 0.0)
+    if zero.size:
+        raise ValueError(f"zero Hessenberg subdiagonal at step {zero[0]}")
     out = np.empty((x.shape[0], n + 1), dtype=complex)
     out[:, 0] = 1.0 / np.sqrt(factor.node_count)
-    for k in range(n):
-        sub = factor.h[k + 1, k]
-        if sub == 0.0:
-            raise ValueError(f"zero Hessenberg subdiagonal at step {k}")
-        v = x * out[:, k] - out[:, : k + 1] @ factor.h[: k + 1, k]
-        out[:, k + 1] = v / sub
+    for lo in range(0, x.shape[0], CHUNK):
+        xb = x[lo : lo + CHUNK]
+        blk = out[lo : lo + CHUNK]
+        for k in range(n):
+            v = xb * blk[:, k] - blk[:, : k + 1] @ h[: k + 1, k]
+            blk[:, k + 1] = v / sub[k]
     return out
 
 

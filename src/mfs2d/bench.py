@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("N values must be ascending")
         if self.m_rule < 1:
             raise ConfigError("M_rule must be >= 1")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol!r}")
         if self.error_samples < 2:
             raise ConfigError("error_samples must be >= 2")
 

@@ -4,8 +4,10 @@ Thin wrappers over numpy's LAPACK bindings pinning down the conventions the
 rest of the package relies on: thin SVD with descending singular values,
 minimum-norm least squares, and the 2-norm condition number of (possibly
 rectangular) matrices with an infinity sentinel for numerically singular
-input.  Matrices are dense numpy arrays, row-major, complex128 (real input
-is accepted anywhere).
+input.  Matrices are dense numpy arrays, row-major, float64 or complex128.
+The arithmetic follows the input: real input (the direct and qr systems)
+takes numpy's real LAPACK path, which does about a quarter of the work of
+the complex path the svd system takes.
 """
 
 import numpy as np

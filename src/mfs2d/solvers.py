@@ -70,7 +70,7 @@ def _harmonic_re(k):
 
 
 def make_boundary_data(name: str, **params) -> BoundaryData:
-    """Catalog: x2y3, osc10, harmonic_k (takes integer k)."""
+    """Catalog: x2y3, osc10, harmonic_k (takes an integral k; 2.0 is accepted, 2.5 is not)."""
     if name == "x2y3":
         if params:
             raise ConfigError("x2y3 takes no parameters")
@@ -82,7 +82,10 @@ def make_boundary_data(name: str, **params) -> BoundaryData:
     if name == "harmonic_k":
         if set(params) != {"k"}:
             raise ConfigError("harmonic_k requires exactly the parameter k")
-        k = int(params["k"])
+        k = params["k"]
+        if not float(k).is_integer():
+            raise ConfigError(f"harmonic_k needs an integral k, got {k!r}")
+        k = int(k)
         return BoundaryData(name, _harmonic_re(k), {"k": k})
     raise ConfigError(f"unknown boundary data {name!r}; known: x2y3, osc10, harmonic_k")
 
@@ -168,7 +171,7 @@ def _pairwise_distances(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
 
 
 def assemble_direct(sources: SourceSet, colloc: CollocationSet) -> np.ndarray:
-    """Collocation matrix of fundamental solutions, shape (M, N) complex.
+    """Collocation matrix of fundamental solutions, shape (M, N) real float64.
 
     Raises
     ------
@@ -181,7 +184,7 @@ def assemble_direct(sources: SourceSet, colloc: CollocationSet) -> np.ndarray:
     if bad.size:
         i, j = bad[0]
         raise SingularityError(f"collocation point {i} coincides with source {j}")
-    return (-np.log(d) / (2.0 * math.pi)).astype(complex)
+    return -np.log(d) / (2.0 * math.pi)
 
 
 def solve_direct(a: np.ndarray, g_values, sources: Optional[SourceSet] = None) -> SolveRecord:
@@ -344,9 +347,12 @@ def build_qr_basis(sources: SourceSet, degree: int) -> QrBasis:
 
 
 def assemble_qr_system(basis: QrBasis, colloc: CollocationSet) -> np.ndarray:
-    """System matrix (M, N): raw monomials at the collocation points times the transform."""
+    """System matrix (M, N) real float64.
+
+    Raw monomials at the collocation points times the transform.
+    """
     feats = _real_monomials(colloc.radii, colloc.angles, basis.degree)
-    return (feats @ basis.transform.T).astype(complex)
+    return feats @ basis.transform.T
 
 
 def assemble_qr(sources: SourceSet, colloc: CollocationSet, degree: int) -> np.ndarray:
@@ -355,9 +361,10 @@ def assemble_qr(sources: SourceSet, colloc: CollocationSet, degree: int) -> np.n
 
 
 def solve_qr(basis: QrBasis, a: np.ndarray, g_values) -> SolveRecord:
+    """Least-squares solve of the (real) qr collocation system."""
     g = np.asarray(g_values)
     t0 = time.perf_counter()
-    coeff = linalg.lstsq(a, g.astype(complex))
+    coeff = linalg.lstsq(a, g)
     elapsed = (time.perf_counter() - t0) * 1e3
     return SolveRecord(
         method="qr",

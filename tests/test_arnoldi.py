@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfs2d import arnoldi
 from mfs2d import (
     DegenerateNodesError,
     arnoldi_vandermonde,
@@ -51,6 +52,12 @@ class TestArnoldiVandermonde:
         assert np.allclose(fac.q[:, 0], 1 / np.sqrt(3))
         assert fac.h.shape == (1, 0)
         assert np.allclose(fac.r, [[np.sqrt(3)]])
+
+    def test_orthonormal_at_half_the_node_count(self):
+        # the svd backend's largest degree: p = (M - 1) // 2
+        fac = arnoldi_vandermonde(star_nodes(1000), 499)
+        gram = fac.q.conj().T @ fac.q
+        assert np.linalg.norm(gram - np.eye(500), 2) <= 1e-14
 
     def test_reproduces_vandermonde(self):
         rng = np.random.default_rng(3)
@@ -113,6 +120,29 @@ class TestEvaluateBasis:
         fac = arnoldi_vandermonde(nodes, 15)
         out = evaluate_basis(fac, nodes[:1])
         assert np.allclose(out[0], fac.q[0], atol=1e-12)
+
+    @pytest.mark.parametrize("count", [0, 1, arnoldi.CHUNK - 1, arnoldi.CHUNK + 1, 10001])
+    def test_blocked_replay_matches_pointwise(self, count):
+        fac = arnoldi_vandermonde(star_nodes(), 12)
+        rng = np.random.default_rng(count)
+        new = rng.uniform(0.2, 1.0, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
+        out = evaluate_basis(fac, new)
+        assert out.shape == (count, 13)
+        expected = np.empty_like(out)
+        for i, x in enumerate(new):
+            row = np.empty(13, dtype=complex)
+            row[0] = 1.0 / np.sqrt(fac.node_count)
+            for k in range(12):
+                row[k + 1] = (x * row[k] - row[: k + 1] @ fac.h[: k + 1, k]) / fac.h[k + 1, k]
+            expected[i] = row
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-13)
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        fac = arnoldi_vandermonde(star_nodes(), 20)
+        new = 0.9 * np.exp(2j * np.pi * np.arange(1001) / 1001)
+        blocked = evaluate_basis(fac, new)
+        monkeypatch.setattr(arnoldi, "CHUNK", new.shape[0])
+        assert np.array_equal(blocked, evaluate_basis(fac, new))
 
     def test_zero_subdiagonal_rejected(self):
         import dataclasses

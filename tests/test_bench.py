@@ -107,6 +107,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config(methods=())
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ConfigError):
+            config(tol=tol)
+
+    def test_nan_tol_in_file_rejected(self, tmp_path):
+        text = BASE_CONFIG + "tol = nan\n"
+        with pytest.raises(ConfigError):
+            parse_config(write_config(tmp_path, text))
+
 
 class TestRunSweep:
     def test_single_row_all_fields_finite(self):

@@ -75,6 +75,11 @@ class TestBoundaryData:
         with pytest.raises(ConfigError):
             make_boundary_data("r2d2")
 
+    def test_harmonic_k_must_be_integral(self):
+        assert make_boundary_data("harmonic_k", k=2.0).params == {"k": 2}
+        with pytest.raises(ConfigError):
+            make_boundary_data("harmonic_k", k=2.5)
+
     def test_harmonic_requires_k(self):
         with pytest.raises(ConfigError):
             make_boundary_data("harmonic_k")
@@ -86,6 +91,7 @@ class TestDirect:
     def test_unit_distance_entry(self):
         a = assemble_direct(source_set([[2.0, 0.0]]), point_set([[1.0, 0.0]]))
         assert a.shape == (1, 1)
+        assert a.dtype == np.float64
         assert a[0, 0] == 0.0
 
     def test_distance_e_entry(self):
@@ -116,6 +122,7 @@ class TestDirect:
         a = assemble_direct(sources, colloc)
         record = solve_direct(a, data.values(colloc.points), sources)
         assert boundary_error(record, domain, data) < 1e-2
+        assert record.max_imag_on_boundary == 0.0
 
 
 class TestSvdBasis:
@@ -259,6 +266,7 @@ class TestQr:
         a1 = assemble_qr(sources, colloc, 12)
         a2 = assemble_qr_system(build_qr_basis(sources, 12), colloc)
         assert np.array_equal(a1, a2)
+        assert a2.dtype == np.float64
 
     def test_exact_representation_of_one_kernel(self):
         domain = make_curve("star_kite")
@@ -272,6 +280,7 @@ class TestQr:
         # representation is exact up to the degree-60 truncation residual,
         # ~ (R/rho)^61 / (61 (1 - R/rho) 2 pi) ~ 1e-11 on this geometry
         assert boundary_error(record, domain, g) <= 1e-9
+        assert record.max_imag_on_boundary == 0.0
 
 
 class TestEvaluation:
