@@ -11,6 +11,10 @@ Rows that fail numerically (e.g. the svd backend with sources violating the
 separation constraint) are reported on the table's error list; the sweep
 continues.  Floats are written with repr, so parsing and re-emitting a table
 is byte-identical.
+
+_build is the one place that checks a backend's preconditions and picks its
+expansion degree; run_single (the sweep cells) and build_method_context
+(basis dumps) both go through it.
 """
 
 import configparser
@@ -22,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import solvers
 from .errors import ConfigError, ConstraintViolationError, InsufficientDataError, NumericalError
 from .expansion import MACHINE_EPS, expansion_degree, setup_expansion, truncation_order
 from .geometry import (
@@ -33,7 +36,6 @@ from .geometry import (
     max_boundary_radius,
     sample_collocation,
     sample_sources,
-    wrap_angle,
 )
 from .solvers import (
     BoundaryData,
@@ -42,6 +44,7 @@ from .solvers import (
     assemble_direct,
     assemble_qr_system,
     assemble_svd_system,
+    basis_values,
     boundary_error,
     build_qr_basis,
     build_svd_basis,
@@ -226,16 +229,33 @@ def _workspace(cfg: ExperimentConfig) -> _Workspace:
     )
 
 
-def _qr_degree(ratio: float, n: int, tol: float) -> int:
-    p = expansion_degree(truncation_order(ratio, tol), n)
-    # the qr factorization needs a strictly wider feature space
-    return p + 1 if 2 * p + 1 == n else p
+def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, margin: float):
+    """Evaluation context and expansion degree (0 for direct) of one cell."""
+    n = sources.count
+    if method == "direct":
+        return sources, 0
+    if method == "svd":
+        if margin <= 0.0:
+            raise ConstraintViolationError(margin)
+        m = colloc.count
+        if 2 * ((m - 1) // 2) + 1 < n:
+            raise ConfigError(
+                f"M_rule={cfg.m_rule} gives only {m} collocation points, too few to "
+                f"carry {n} svd basis functions (need 2*floor((M-1)/2)+1 >= N)"
+            )
+        setup = setup_expansion(sources, ws.boundary_radius, n, cfg.tol, max_degree=(m - 1) // 2)
+        return build_svd_basis(setup, colloc), setup.degree
+    if method == "qr":
+        ratio = float(np.max(ws.boundary_radius / sources.radii))
+        p = expansion_degree(truncation_order(ratio, cfg.tol), n)
+        if 2 * p + 1 == n:
+            p += 1    # the qr factorization needs a strictly wider feature space
+        return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
+    raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
 
 def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspace] = None):
     """Solve one (method, N) cell; returns (SweepRow, SolveRecord)."""
-    if method not in _METHODS:
-        raise ConfigError(f"unknown method {method!r}")
     ws = ws or _workspace(cfg)
     m = cfg.m_rule * n
     colloc = sample_collocation(ws.domain, m)
@@ -243,29 +263,14 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspa
     margin = check_source_constraint(sources, ws.boundary_radius).margin
 
     t0 = time.perf_counter()
+    context, p = _build(cfg, method, ws, colloc, sources, margin)
+    g = ws.data.values(colloc.points)
     if method == "direct":
-        a = assemble_direct(sources, colloc)
-        record = solve_direct(a, ws.data.values(colloc.points), sources)
-        p = 0
+        record = solve_direct(assemble_direct(context, colloc), g, context)
     elif method == "svd":
-        if margin <= 0.0:
-            raise ConstraintViolationError(margin)
-        if 2 * ((m - 1) // 2) + 1 < n:
-            raise ConfigError(
-                f"M_rule={cfg.m_rule} gives only {m} collocation points, too few to "
-                f"carry {n} svd basis functions (need 2*floor((M-1)/2)+1 >= N)"
-            )
-        setup = setup_expansion(sources, ws.boundary_radius, n, cfg.tol, max_degree=(m - 1) // 2)
-        basis = build_svd_basis(setup, colloc)
-        a = assemble_svd_system(basis, colloc)
-        record = solve_svd(basis, a, ws.data.values(colloc.points))
-        p = setup.degree
+        record = solve_svd(context, assemble_svd_system(context, colloc), g)
     else:
-        ratio = float(np.max(ws.boundary_radius / sources.radii))
-        p = _qr_degree(ratio, n, cfg.tol)
-        basis = build_qr_basis(sources, p, scale_radius=ws.boundary_radius)
-        a = assemble_qr_system(basis, colloc)
-        record = solve_qr(basis, a, ws.data.values(colloc.points))
+        record = solve_qr(context, assemble_qr_system(context, colloc), g)
     runtime_ms = (time.perf_counter() - t0) * 1e3
 
     record.runtime_ms = runtime_ms
@@ -411,35 +416,19 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     if count < 2:
         raise ValueError("count must be >= 2")
     t = TWO_PI * np.arange(1, count + 1) / count
-    pts = curve.point(t)
+    traces = basis_values(context, curve.point(t))
     path = str(path)
-
     if isinstance(context, SourceSet):
-        d = solvers._pairwise_distances(pts, context.points)
-        traces = -np.log(d) / (2.0 * math.pi)
         traces = traces / np.max(np.abs(traces), axis=0, keepdims=True)
-        labels = [f"psi{j + 1}" for j in range(context.count)]
-        _basis_csv(path, t, [traces[:, j] for j in range(traces.shape[1])], labels)
+    if not isinstance(context, SvdBasis):
+        _basis_csv(path, t, traces.T, [f"psi{j + 1}" for j in range(context.count)])
         return [path]
-    if isinstance(context, SvdBasis):
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        angles = wrap_angle(np.arctan2(pts[:, 1], pts[:, 0]))
-        traces = context.rows_at(radii, angles) @ context.basis_coords.T
-        labels = [f"phi{j + 1}" for j in range(context.count)]
-        stem, ext = os.path.splitext(path)
-        real_path = f"{stem}_real{ext}"
-        imag_path = f"{stem}_imag{ext}"
-        _basis_csv(real_path, t, [traces[:, j].real for j in range(traces.shape[1])], labels)
-        _basis_csv(imag_path, t, [traces[:, j].imag for j in range(traces.shape[1])], labels)
-        return [real_path, imag_path]
-    if isinstance(context, solvers.QrBasis):
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        angles = wrap_angle(np.arctan2(pts[:, 1], pts[:, 0]))
-        traces = context.values_at(radii, angles)
-        labels = [f"psi{j + 1}" for j in range(context.count)]
-        _basis_csv(path, t, [traces[:, j] for j in range(traces.shape[1])], labels)
-        return [path]
-    raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
+    stem, ext = os.path.splitext(path)
+    paths = [f"{stem}_real{ext}", f"{stem}_imag{ext}"]
+    labels = [f"phi{j + 1}" for j in range(context.count)]
+    _basis_csv(paths[0], t, traces.real.T, labels)
+    _basis_csv(paths[1], t, traces.imag.T, labels)
+    return paths
 
 
 def build_method_context(cfg: ExperimentConfig, method: str, n: int):
@@ -447,18 +436,5 @@ def build_method_context(cfg: ExperimentConfig, method: str, n: int):
     ws = _workspace(cfg)
     colloc = sample_collocation(ws.domain, cfg.m_rule * n)
     sources = sample_sources(ws.source, n)
-    if method == "direct":
-        return sources, ws
     margin = check_source_constraint(sources, ws.boundary_radius).margin
-    if method == "svd":
-        if margin <= 0.0:
-            raise ConstraintViolationError(margin)
-        setup = setup_expansion(
-            sources, ws.boundary_radius, n, cfg.tol, max_degree=(colloc.count - 1) // 2
-        )
-        return build_svd_basis(setup, colloc), ws
-    if method == "qr":
-        ratio = float(np.max(ws.boundary_radius / sources.radii))
-        p = _qr_degree(ratio, n, cfg.tol)
-        return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), ws
-    raise ConfigError(f"unknown method {method!r}")
+    return _build(cfg, method, ws, colloc, sources, margin)[0], ws

@@ -218,9 +218,9 @@ def setup_expansion(
 
     `max_degree` caps the degree: M collocation points can resolve at most M
     stacked frame functions, so solvers pass (M - 1) // 2 to keep
-    2*degree + 1 <= M.  The cap only binds when the tolerance-driven order
-    exceeds it, and the un-representable kernel tail it leaves behind is
-    geometrically small (of order ratio^max_degree).
+    2*degree + 1 <= M.  When the tolerance-driven order exceeds the cap, the
+    kernel tail left out, bounded by ratio^(p+1) * Phi(ratio, 1, p+1), can
+    be far above tol (0.36 for ratio 1/1.03 and p = 24).
     """
     ratio = float(np.max(scale_radius / sources.radii))
     p0 = truncation_order(ratio, tol)

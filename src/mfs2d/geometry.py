@@ -29,6 +29,11 @@ def wrap_angle(a):
     return np.where(b >= TWO_PI, 0.0, b)
 
 
+def polar_coordinates(points):
+    """Radii and angles in [0, 2*pi) of an (n, 2) point array."""
+    return np.hypot(points[:, 0], points[:, 1]), wrap_angle(np.arctan2(points[:, 1], points[:, 0]))
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point in the plane with derived polar coordinates."""
@@ -309,7 +314,8 @@ def make_curve(name: str, **params) -> BoundaryCurve:
     Raises
     ------
     ConfigError
-        Unknown name or parameter not supported by the named curve.
+        Unknown name, parameter not supported by the named curve, or a
+        parameter (or offset rho) that is not a finite number.
     """
     name = name.strip()
     m = _OFFSET_RE.match(name)
@@ -321,14 +327,21 @@ def make_curve(name: str, **params) -> BoundaryCurve:
             rho = float(m.group(2))
         except ValueError:
             raise ConfigError(f"bad rho value in {name!r}") from None
-        return OffsetCurve(base, rho)
+        return OffsetCurve(base, _finite(name, "rho", rho))
     if name not in _CATALOG:
         raise ConfigError(f"unknown curve {name!r}; known: {', '.join(curve_names())}")
     factory, allowed = _CATALOG[name]
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"curve {name!r} does not accept parameters {sorted(unknown)}")
-    return factory(**{k: float(v) for k, v in params.items()})
+    return factory(**{k: _finite(name, k, v) for k, v in params.items()})
+
+
+def _finite(name: str, key: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"curve {name!r}: {key} must be finite, got {value!r}")
+    return value
 
 
 # --- point sets -------------------------------------------------------------
@@ -419,10 +432,9 @@ def sample_sources(curve: BoundaryCurve, count: int) -> SourceSet:
         raise ValueError("source count must be >= 1")
     params = _uniform_params(int(count))
     pts = curve.point(params)
-    radii = np.hypot(pts[:, 0], pts[:, 1])
+    radii, angles = polar_coordinates(pts)
     if np.any(radii == 0.0):
         raise DegenerateCurveError("source point at the origin has no polar angle")
-    angles = wrap_angle(np.arctan2(pts[:, 1], pts[:, 0]))
     return SourceSet(points=pts, params=params, radii=radii, angles=angles)
 
 

@@ -16,6 +16,10 @@ svd     -- sources anywhere outside the scaled boundary disk; the kernel
            expansion matrix is pushed through the Arnoldi coupling and an
            SVD; the rows of the right singular-vector block define a basis
            whose collocation matrix stays O(1)-conditioned at any N.
+
+basis_values is the one place that evaluates a backend's basis (its
+SourceSet, QrBasis or SvdBasis context) at points; solve_direct, solve_qr
+and solve_svd share one least-squares body.
 """
 
 import math
@@ -35,7 +39,7 @@ from .geometry import (
     CollocationSet,
     Point2,
     SourceSet,
-    wrap_angle,
+    polar_coordinates,
 )
 
 _COINCIDENCE_RTOL = 1e-14
@@ -146,6 +150,10 @@ class SvdBasis:
             ]
         )
 
+    def values_at(self, radii, angles) -> np.ndarray:
+        """Basis function values at points given in polar form, (n_pts, N) complex."""
+        return self.rows_at(radii, angles) @ self.basis_coords.T
+
 
 @dataclass(frozen=True)
 class QrBasis:
@@ -173,11 +181,17 @@ class QrBasis:
 # --- direct backend ----------------------------------------------------------
 
 
-def _pairwise_distances(points: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    return np.hypot(
-        points[:, 0, None] - sources[None, :, 0],
-        points[:, 1, None] - sources[None, :, 1],
+def _kernel(points: np.ndarray, sources: SourceSet) -> np.ndarray:
+    """Kernel matrix -log|x_i - y_j| / (2 pi), (n_points, N); SingularityError on coincidence."""
+    d = np.hypot(
+        points[:, 0, None] - sources.points[None, :, 0],
+        points[:, 1, None] - sources.points[None, :, 1],
     )
+    tol = _COINCIDENCE_RTOL * max(1.0, float(np.max(sources.radii)))
+    if np.min(d, initial=math.inf) < tol:
+        i, j = np.argwhere(d < tol)[0]
+        raise SingularityError(f"point {i} coincides with source {j}")
+    return -np.log(d) / (2.0 * math.pi)
 
 
 def assemble_direct(sources: SourceSet, colloc: CollocationSet) -> np.ndarray:
@@ -188,30 +202,27 @@ def assemble_direct(sources: SourceSet, colloc: CollocationSet) -> np.ndarray:
     SingularityError
         A collocation point coincides with a source (indices reported).
     """
-    d = _pairwise_distances(colloc.points, sources.points)
-    scale = max(1.0, float(np.max(sources.radii)))
-    bad = np.argwhere(d < _COINCIDENCE_RTOL * scale)
-    if bad.size:
-        i, j = bad[0]
-        raise SingularityError(f"collocation point {i} coincides with source {j}")
-    return -np.log(d) / (2.0 * math.pi)
+    return _kernel(colloc.points, sources)
 
 
-def solve_direct(a: np.ndarray, g_values, sources: Optional[SourceSet] = None) -> SolveRecord:
-    """Least-squares solve of the direct collocation system."""
-    g = np.asarray(g_values)
+def _solve(method: str, a: np.ndarray, g_values, context) -> SolveRecord:
     t0 = time.perf_counter()
-    coeff = linalg.lstsq(a, g)
+    coeff = linalg.lstsq(a, g_values)
     elapsed = (time.perf_counter() - t0) * 1e3
     return SolveRecord(
-        method="direct",
+        method=method,
         n_basis=a.shape[1],
         n_colloc=a.shape[0],
         coefficients=coeff,
         cond2=linalg.cond2(a),
         runtime_ms=elapsed,
-        context=sources,
+        context=context,
     )
+
+
+def solve_direct(a: np.ndarray, g_values, sources: Optional[SourceSet] = None) -> SolveRecord:
+    """Least-squares solve of the direct collocation system."""
+    return _solve("direct", a, g_values, sources)
 
 
 # --- svd backend -------------------------------------------------------------
@@ -282,19 +293,7 @@ def assemble_svd_system(basis: SvdBasis, colloc: CollocationSet) -> np.ndarray:
 
 def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
     """Complex least-squares solve in the well-conditioned basis."""
-    g = np.asarray(g_values)
-    t0 = time.perf_counter()
-    coeff = linalg.lstsq(a, g.astype(complex))
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return SolveRecord(
-        method="svd",
-        n_basis=a.shape[1],
-        n_colloc=a.shape[0],
-        coefficients=coeff,
-        cond2=linalg.cond2(a),
-        runtime_ms=elapsed,
-        context=basis,
-    )
+    return _solve("svd", a, g_values, basis)
 
 
 # --- qr backend --------------------------------------------------------------
@@ -370,11 +369,7 @@ def build_qr_basis(sources: SourceSet, degree: int, scale_radius: float = 1.0) -
 
 
 def assemble_qr_system(basis: QrBasis, colloc: CollocationSet) -> np.ndarray:
-    """System matrix (M, N) real float64.
-
-    Monomials in r/R at the collocation points (R the basis's scale radius)
-    times the transform.
-    """
+    """System matrix (M, N) real float64: the basis values at the collocation points."""
     return basis.values_at(colloc.radii, colloc.angles)
 
 
@@ -391,19 +386,7 @@ def assemble_qr(
 
 def solve_qr(basis: QrBasis, a: np.ndarray, g_values) -> SolveRecord:
     """Least-squares solve of the (real) qr collocation system."""
-    g = np.asarray(g_values)
-    t0 = time.perf_counter()
-    coeff = linalg.lstsq(a, g)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return SolveRecord(
-        method="qr",
-        n_basis=a.shape[1],
-        n_colloc=a.shape[0],
-        coefficients=coeff,
-        cond2=linalg.cond2(a),
-        runtime_ms=elapsed,
-        context=basis,
-    )
+    return _solve("qr", a, g_values, basis)
 
 
 # --- evaluation and error measurement ---------------------------------------
@@ -418,24 +401,30 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def basis_values(context, points: np.ndarray) -> np.ndarray:
+    """Basis functions of a context at (n, 2) points, one column per function.
+
+    `context` is a SourceSet (direct kernels), QrBasis or SvdBasis.
+    """
+    if isinstance(context, SourceSet):
+        return _kernel(points, context)
+    if isinstance(context, (QrBasis, SvdBasis)):
+        return context.values_at(*polar_coordinates(points))
+    raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
+
+
+_CONTEXT_TYPES = {"direct": SourceSet, "qr": QrBasis, "svd": SvdBasis}
+
+
 def _evaluate_complex(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
-    radii = np.hypot(points[:, 0], points[:, 1])
-    angles = wrap_angle(np.arctan2(points[:, 1], points[:, 0]))
-    if record.method == "direct":
-        if not isinstance(context, SourceSet):
-            raise ValueError("direct evaluation needs the SourceSet")
-        d = _pairwise_distances(points, context.points)
-        return (-np.log(d) / (2.0 * math.pi)) @ record.coefficients
-    if record.method == "svd":
-        if not isinstance(context, SvdBasis):
-            raise ValueError("svd evaluation needs the SvdBasis")
-        rows = context.rows_at(radii, angles)
+    kind = _CONTEXT_TYPES.get(record.method)
+    if kind is None or not isinstance(context, kind):
+        raise ValueError(f"{record.method!r} evaluation cannot use a {type(context).__name__}")
+    if isinstance(context, SvdBasis):
+        # coefficients first: one (2p+1)-vector instead of an (n_pts, N) matrix
+        rows = context.rows_at(*polar_coordinates(points))
         return rows @ (context.basis_coords.T @ record.coefficients)
-    if record.method == "qr":
-        if not isinstance(context, QrBasis):
-            raise ValueError("qr evaluation needs the QrBasis")
-        return context.values_at(radii, angles) @ record.coefficients
-    raise ValueError(f"unknown method {record.method!r}")
+    return basis_values(context, points) @ record.coefficients
 
 
 def evaluate_solution(record: SolveRecord, context, points):

@@ -299,3 +299,26 @@ def test_run_single_svd_rejects_undersampled_grid():
     cfg = config(m_rule=1, n_values=(6,))
     with pytest.raises(ConfigError):
         run_single(cfg, "svd", 6)
+
+
+def test_build_method_context_svd_rejects_undersampled_grid():
+    cfg = config(m_rule=1, n_values=(50,))
+    with pytest.raises(ConfigError):
+        build_method_context(cfg, "svd", 50)
+
+
+@pytest.mark.parametrize("method", ["direct", "qr", "svd"])
+def test_basis_dump_context_equals_the_solved_cells(method):
+    # basis dumps and sweep cells build their contexts through one path
+    cfg = config(domain="star_kite", methods=(method,), n_values=(30,))
+    dumped, _ = build_method_context(cfg, method, 30)
+    solved = run_single(cfg, method, 30)[1].context
+    assert type(dumped) is type(solved)
+    if method == "direct":
+        assert np.array_equal(dumped.points, solved.points)
+    elif method == "qr":
+        assert np.array_equal(dumped.transform, solved.transform)
+    else:
+        assert np.array_equal(dumped.basis_coords, solved.basis_coords)
+        assert np.array_equal(dumped.z_factor.q, solved.z_factor.q)
+        assert np.array_equal(dumped.w_factor.q, solved.w_factor.q)

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from mfs2d.bench import CSV_HEADER, parse_config
+from mfs2d import ConfigError
+from mfs2d.bench import CSV_HEADER, build_method_context, parse_config
 from mfs2d.cli import main
 
 CONFIG = """\
@@ -56,6 +57,16 @@ class TestSolve:
         path.write_text(CONFIG.replace("curve = circle\nradius = 2", "curve = blob9"))
         assert main(["solve", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_non_finite_source_radius_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG.replace("radius = 2", "radius = nan"))
+        argv = [command, "--config", str(path)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "table.csv")]
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 4
 
@@ -105,6 +116,18 @@ class TestBasis:
         assert rc == 0
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed == [out.replace(".csv", "_real.csv"), out.replace(".csv", "_imag.csv")]
+
+
+    def test_undersampled_svd_grid_exits_2(self, tmp_path, capsys):
+        # M = N = 50 collocation points cannot carry 50 svd basis functions
+        path = tmp_path / "under.cfg"
+        path.write_text(CONFIG.replace("methods = direct,svd", "methods = svd\nM_rule = 1"))
+        out = str(tmp_path / "basis.csv")
+        rc = main(["basis", "--config", str(path), "--n", "50", "--samples", "40", "--out", out])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+        with pytest.raises(ConfigError):
+            build_method_context(parse_config(str(path)), "svd", 50)
 
 
 def test_console_entry_point(config_path):

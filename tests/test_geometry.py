@@ -66,6 +66,21 @@ class TestBoundaryPoint:
         d = np.linalg.norm(curve.point(t) - base.point(t), axis=1)
         assert np.allclose(d, 0.05, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("circle", {"radius": math.nan}),
+            ("circle", {"radius": math.inf}),
+            ("circle", {"cx": -math.inf}),
+            ("ellipse", {"a": math.nan}),
+            ("offset(circle, rho=nan)", {}),
+            ("offset(circle, rho=inf)", {}),
+        ],
+    )
+    def test_non_finite_parameter_is_config_error(self, name, params):
+        with pytest.raises(ConfigError):
+            make_curve(name, **params)
+
     def test_offset_bad_rho(self):
         with pytest.raises(ConfigError):
             make_curve("offset(eta1, rho=abc)")

@@ -107,6 +107,13 @@ class TestDirect:
             assemble_direct(source_set([[2.0, 0.0], [1.0, 0.0]]), point_set([[1.0, 0.0]]))
         assert "0" in str(err.value) and "1" in str(err.value)
 
+    def test_evaluation_at_a_source_raises(self):
+        sources = source_set([[2.0, 0.0], [0.0, 2.0]])
+        colloc = point_set([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        record = solve_direct(assemble_direct(sources, colloc), [1.0, 0.0, 0.5], sources)
+        with pytest.raises(SingularityError):
+            evaluate_solution(record, None, sources.points)
+
     def test_exact_representation_of_one_kernel(self):
         # g is the trace of the fundamental solution at one of the sources
         domain = make_curve("circle")
@@ -353,6 +360,27 @@ class TestEvaluation:
         err = boundary_error(record, domain, data)
         vals = evaluate_solution(record, basis, colloc.points)
         assert np.max(np.abs(vals - data.values(colloc.points))) <= err + 1e-12
+
+    def test_context_of_another_backend_rejected(self):
+        domain = make_curve("circle")
+        data = make_boundary_data("x2y3")
+        source = make_curve("circle", radius=2.0)
+        svd_basis, _, svd_record, colloc = svd_pipeline(domain, source, 12, data)
+        g = data.values(colloc.points)
+        sources = sample_sources(source, 12)
+        qr_basis = build_qr_basis(sources, 12)
+        qr_record = solve_qr(qr_basis, assemble_qr_system(qr_basis, colloc), g)
+        direct_record = solve_direct(assemble_direct(sources, colloc), g, sources)
+        for record, wrong in [
+            (qr_record, svd_basis),
+            (qr_record, sources),
+            (svd_record, qr_basis),
+            (svd_record, sources),
+            (direct_record, svd_basis),
+            (direct_record, qr_basis),
+        ]:
+            with pytest.raises(ValueError):
+                evaluate_solution(record, wrong, colloc.points)
 
     def test_point2_and_array_forms_agree(self):
         domain = make_curve("circle")
