@@ -24,6 +24,7 @@ from .bench import (
 from .errors import (
     ConfigError,
     ConstraintViolationError,
+    CurveParameterError,
     DegenerateCurveError,
     DegenerateNodesError,
     InsufficientDataError,

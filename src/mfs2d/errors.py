@@ -11,6 +11,14 @@ class ConfigError(Exception):
     """Unknown catalog name, malformed config, or unsupported configuration."""
 
 
+class CurveParameterError(ConfigError, ValueError):
+    """Curve parameter that is not finite or not positive where it must be.
+
+    Also a ValueError, the type the curve constructors raise for a
+    non-positive radius, semi-axis or offset distance.
+    """
+
+
 class NumericalError(Exception):
     """Base class for failures of a numerical precondition or process."""
 

@@ -86,21 +86,61 @@ def hurwitz_lerch_phi1(z: float, a: int) -> float:
     return math.fsum(terms)
 
 
+def _first_at_most(f, tol: float, lo: int, hi: int) -> int:
+    """Smallest p in [lo, hi] with f(p) <= tol, for f decreasing and f(hi) <= tol."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid) > tol:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def truncation_order(ratio: float, tol: float) -> int:
     """Smallest p0 >= 0 with ratio^(p0+1) * Phi(ratio, 1, p0+1) <= tol.
 
-    The left side is strictly decreasing in p0, so the search increments
-    from zero.  `ratio` is the geometric decay factor max_j R/rho_j.
+    `ratio` is the geometric decay factor q = max_j R/rho_j.  The left side
+    is the kernel tail sum_{k>p0} q^k/k, strictly decreasing in p0 and
+    bracketed in closed form by
+
+        q^(p+1) / (p+1)  <=  tail(p)  <=  q^(p+1) / ((p+1)(1-q)),
+
+    so p0 lies between the first p where the lower bound drops to tol and
+    the first p where the upper bound does.  Both brackets are found by
+    bisection on the cheap bounds, then p0 by bisection on the tail itself:
+    O(log p0) evaluations of Phi instead of p0 + 1.
     """
     if not 0.0 < ratio < 1.0:
         raise ConstraintViolationError(
             1.0 - ratio, f"series ratio must lie in (0, 1), got {ratio:.6g}"
         )
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    p0 = 0
-    while ratio ** (p0 + 1) * hurwitz_lerch_phi1(ratio, p0 + 1) > tol:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    log_q, log_tol = math.log(ratio), math.log(tol)
+    log_1mq = math.log1p(-ratio)
+
+    def tail(p):
+        return ratio ** (p + 1) * hurwitz_lerch_phi1(ratio, p + 1)
+
+    def upper(p):    # log of q^(p+1) / ((p+1)(1-q)), compared with log(tol)
+        return (p + 1) * log_q - math.log(p + 1) - log_1mq
+
+    def lower(p):
+        return (p + 1) * log_q - math.log(p + 1)
+
+    # q^(start+1) <= tol (1-q) makes upper(start) <= log(tol).
+    start = max(0, math.ceil((log_tol + log_1mq) / log_q) - 1)
+    hi = _first_at_most(upper, log_tol, 0, start)
+    lo = _first_at_most(lower, log_tol, 0, hi)
+    p0 = _first_at_most(tail, tol, lo, hi)
+    # The bounds are evaluated in floating point; these steps, one call each
+    # when the bracket held, make p0 the first p where the computed tail is
+    # at most tol, as a search from zero would find it.
+    while tail(p0) > tol:
         p0 += 1
+    while p0 > 0 and tail(p0 - 1) <= tol:
+        p0 -= 1
     return p0
 
 

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateCurveError
+from .errors import ConfigError, CurveParameterError, DegenerateCurveError
 
 TWO_PI = 2.0 * math.pi
 
@@ -265,8 +265,6 @@ def _make_circle(radius=1.0, cx=0.0, cy=0.0):
 
 
 def _make_ellipse(a=2.0, b=1.5):
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("ellipse semi-axes must be positive")
     return ParametricCurve(
         "ellipse",
         lambda t: a * np.cos(t),
@@ -314,8 +312,11 @@ def make_curve(name: str, **params) -> BoundaryCurve:
     Raises
     ------
     ConfigError
-        Unknown name, parameter not supported by the named curve, or a
-        parameter (or offset rho) that is not a finite number.
+        Unknown name or parameter not supported by the named curve.
+    CurveParameterError
+        A parameter (or offset rho) that is not a finite number, or a
+        radius, semi-axis or rho that is not positive.  The center cx, cy
+        may take any finite value.
     """
     name = name.strip()
     m = _OFFSET_RE.match(name)
@@ -327,20 +328,25 @@ def make_curve(name: str, **params) -> BoundaryCurve:
             rho = float(m.group(2))
         except ValueError:
             raise ConfigError(f"bad rho value in {name!r}") from None
-        return OffsetCurve(base, _finite(name, "rho", rho))
+        return OffsetCurve(base, _checked(name, "rho", rho))
     if name not in _CATALOG:
         raise ConfigError(f"unknown curve {name!r}; known: {', '.join(curve_names())}")
     factory, allowed = _CATALOG[name]
     unknown = set(params) - allowed
     if unknown:
         raise ConfigError(f"curve {name!r} does not accept parameters {sorted(unknown)}")
-    return factory(**{k: _finite(name, k, v) for k, v in params.items()})
+    return factory(**{k: _checked(name, k, v) for k, v in params.items()})
 
 
-def _finite(name: str, key: str, value) -> float:
+_POSITIVE_PARAMS = {"radius", "a", "b", "rho"}
+
+
+def _checked(name: str, key: str, value) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ConfigError(f"curve {name!r}: {key} must be finite, got {value!r}")
+        raise CurveParameterError(f"curve {name!r}: {key} must be finite, got {value!r}")
+    if key in _POSITIVE_PARAMS and value <= 0.0:
+        raise CurveParameterError(f"curve {name!r}: {key} must be positive, got {value!r}")
     return value
 
 

@@ -126,7 +126,9 @@ class SvdBasis:
     stacked Arnoldi frame (z block, then the w block without its duplicated
     constant); the rows are orthonormal.  Because the frame itself is
     uniformly well conditioned on the collocation set, the system matrix
-    conditioning is bounded by the frame's, independent of N.
+    conditioning is bounded by the frame's, independent of N.  `rows_at`
+    evaluates the w block as the conjugate of the z block; `w_factor` is
+    kept for `assemble_svd_system`, which stacks the two factors' Q.
     """
 
     basis_coords: np.ndarray       # (N, 2p+1) rows of the right singular-vector block
@@ -139,16 +141,21 @@ class SvdBasis:
     colloc: CollocationSet = field(repr=False)
 
     def rows_at(self, radii, angles) -> np.ndarray:
-        """Stacked frame values [q_z0..q_zp, q_w1..q_wp] at points, (n_pts, 2p+1)."""
+        """Stacked frame values [q_z0..q_zp, q_w1..q_wp] at points, (n_pts, 2p+1).
+
+        The Hessenberg recurrence is replayed once, on z: the w factor is
+        built on conj(z) and is bitwise the conjugate of the z factor, so
+        its replay on conj(z) is bitwise the conjugate of the z replay.
+        """
         z = (np.asarray(radii, dtype=float) / self.scale_radius) * np.exp(
             1j * np.asarray(angles, dtype=float)
         )
-        return np.hstack(
-            [
-                evaluate_basis(self.z_factor, z),
-                evaluate_basis(self.w_factor, np.conj(z))[:, 1:],
-            ]
-        )
+        ez = evaluate_basis(self.z_factor, z)
+        p = self.degree
+        out = np.empty((ez.shape[0], 2 * p + 1), dtype=complex)
+        out[:, : p + 1] = ez
+        np.conj(ez[:, 1:], out=out[:, p + 1 :])
+        return out
 
     def values_at(self, radii, angles) -> np.ndarray:
         """Basis function values at points given in polar form, (n_pts, N) complex."""

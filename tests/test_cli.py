@@ -67,6 +67,16 @@ class TestSolve:
         assert main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_negative_source_radius_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG.replace("radius = 2", "radius = -1"))
+        argv = [command, "--config", str(path)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "table.csv")]
+        assert main(argv) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 4
 

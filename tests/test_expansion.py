@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfs2d import (
+    MACHINE_EPS,
     ConstraintViolationError,
     Point2,
     SingularityError,
@@ -23,6 +24,7 @@ from mfs2d import (
     setup_expansion,
     truncation_order,
 )
+from mfs2d import expansion
 from mfs2d.geometry import SourceSet
 
 
@@ -109,6 +111,45 @@ class TestTruncationOrder:
             truncation_order(1.0, 1e-16)
         with pytest.raises(ValueError):
             truncation_order(0.5, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_bad_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            truncation_order(0.5, tol)
+
+    @staticmethod
+    def linear_order(q, tol):
+        """Reference: raise p0 from zero until the computed tail is at most tol."""
+        p0 = 0
+        while q ** (p0 + 1) * hurwitz_lerch_phi1(q, p0 + 1) > tol:
+            p0 += 1
+        return p0
+
+    @pytest.mark.parametrize(
+        "tol", [MACHINE_EPS, 1e-12, 1e-8, 1e-3, 10.0], ids=["eps", "1e-12", "1e-8", "1e-3", "10"]
+    )
+    def test_matches_linear_search(self, tol):
+        ratios = [1e-9, 1e-3, 0.05, *np.linspace(0.1, 0.9, 9), 0.95, 1 / 1.03, 0.99]
+        for q in ratios:
+            assert truncation_order(float(q), tol) == self.linear_order(float(q), tol), q
+
+    @pytest.mark.parametrize(
+        "ratio, expected",
+        [(1 / 1.03, 1101), (0.7128, 96), (1 / 1.1, 341), (0.99, 3237), (0.999, 32516)],
+    )
+    def test_pinned_orders_at_machine_eps(self, ratio, expected):
+        assert truncation_order(ratio, MACHINE_EPS) == expected
+
+    def test_bisection_call_count(self, monkeypatch):
+        calls = []
+
+        def counting(z, a):
+            calls.append(a)
+            return hurwitz_lerch_phi1(z, a)
+
+        monkeypatch.setattr(expansion, "hurwitz_lerch_phi1", counting)
+        assert truncation_order(1 / 1.03, MACHINE_EPS) == 1101
+        assert len(calls) <= 2 * math.ceil(math.log2(1102)) + 4
 
 
 class TestExpansionDegree:

@@ -81,6 +81,25 @@ class TestBoundaryPoint:
         with pytest.raises(ConfigError):
             make_curve(name, **params)
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("circle", {"radius": -1.0}),
+            ("circle", {"radius": 0.0}),
+            ("ellipse", {"a": 0.0}),
+            ("ellipse", {"b": -1.5}),
+            ("offset(eta1, rho=-0.1)", {}),
+            ("offset(eta1, rho=0)", {}),
+        ],
+    )
+    def test_non_positive_parameter_is_config_error(self, name, params):
+        with pytest.raises(ConfigError, match="must be positive"):
+            make_curve(name, **params)
+
+    def test_circle_center_may_be_zero_or_negative(self):
+        curve = make_curve("circle", radius=0.5, cx=-2.0, cy=0.0)
+        assert np.allclose(curve.point(0.0), [-1.5, 0.0], atol=1e-15)
+
     def test_offset_bad_rho(self):
         with pytest.raises(ConfigError):
             make_curve("offset(eta1, rho=abc)")

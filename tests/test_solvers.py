@@ -30,8 +30,9 @@ from mfs2d import (
     solve_qr,
     solve_svd,
 )
+from mfs2d.arnoldi import evaluate_basis
 from mfs2d.bench import build_method_context, emit_basis_samples
-from mfs2d.geometry import CollocationSet, Point2, SourceSet
+from mfs2d.geometry import CollocationSet, Point2, SourceSet, polar_coordinates
 
 
 def point_set(coords):
@@ -234,6 +235,25 @@ class TestSvdBasis:
         with pytest.raises(RankDeficiencyError):
             build_svd_basis(setup, colloc, rank_tol=1e-13)
         build_svd_basis(setup, colloc)    # default tolerance accepts it
+
+    @pytest.mark.parametrize(
+        "domain, source_radius, n", [("star_kite", 2.0, 200), ("circle", 1.03, 250)]
+    )
+    def test_single_replay_matches_both_factors(self, domain, source_radius, n):
+        curve = make_curve(domain)
+        colloc = sample_collocation(curve, 2 * n)
+        sources = sample_sources(make_curve("circle", radius=source_radius), n)
+        setup = setup_expansion(
+            sources, max_boundary_radius(curve), n, max_degree=(2 * n - 1) // 2
+        )
+        basis = build_svd_basis(setup, colloc)
+        pts = curve.point(np.linspace(0.0, 2 * np.pi, 777))
+        r, th = polar_coordinates(np.vstack([pts, 0.5 * pts]))
+        z = (r / basis.scale_radius) * np.exp(1j * th)
+        ez = evaluate_basis(basis.z_factor, z)
+        ew = evaluate_basis(basis.w_factor, np.conj(z))
+        assert np.array_equal(ew, np.conj(ez))
+        assert np.array_equal(basis.rows_at(r, th), np.hstack([ez, ew[:, 1:]]))
 
     def test_frame_larger_than_grid_rejected(self):
         domain = make_curve("circle")
