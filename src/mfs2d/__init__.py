@@ -27,6 +27,7 @@ from .errors import (
     CurveParameterError,
     DegenerateCurveError,
     DegenerateNodesError,
+    DegenerateSystemError,
     InsufficientDataError,
     NumericalError,
     RankDeficiencyError,

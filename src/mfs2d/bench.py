@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigError, ConstraintViolationError, InsufficientDataError, NumericalError
 from .expansion import MACHINE_EPS, expansion_degree, setup_expansion, truncation_order
 from .geometry import (
-    TWO_PI,
     BoundaryCurve,
     check_source_constraint,
     make_curve,
@@ -247,9 +246,7 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
         return build_svd_basis(setup, colloc), setup.degree
     if method == "qr":
         ratio = float(np.max(ws.boundary_radius / sources.radii))
-        p = expansion_degree(truncation_order(ratio, cfg.tol), n)
-        if 2 * p + 1 == n:
-            p += 1    # the qr factorization needs a strictly wider feature space
+        p = expansion_degree(truncation_order(ratio, cfg.tol), n + 1)    # qr needs 2p+1 > n
         return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
@@ -415,19 +412,19 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    t = TWO_PI * np.arange(1, count + 1) / count
-    traces = basis_values(context, curve.point(t))
+    grid = sample_collocation(curve, count)
+    traces = basis_values(context, grid.points)
     path = str(path)
     if isinstance(context, SourceSet):
         traces = traces / np.max(np.abs(traces), axis=0, keepdims=True)
     if not isinstance(context, SvdBasis):
-        _basis_csv(path, t, traces.T, [f"psi{j + 1}" for j in range(context.count)])
+        _basis_csv(path, grid.params, traces.T, [f"psi{j + 1}" for j in range(context.count)])
         return [path]
     stem, ext = os.path.splitext(path)
     paths = [f"{stem}_real{ext}", f"{stem}_imag{ext}"]
     labels = [f"phi{j + 1}" for j in range(context.count)]
-    _basis_csv(paths[0], t, traces.real.T, labels)
-    _basis_csv(paths[1], t, traces.imag.T, labels)
+    _basis_csv(paths[0], grid.params, traces.real.T, labels)
+    _basis_csv(paths[1], grid.params, traces.imag.T, labels)
     return paths
 
 

@@ -43,6 +43,10 @@ class DegenerateNodesError(NumericalError):
         super().__init__(message or f"Arnoldi breakdown at step {step}")
 
 
+class DegenerateSystemError(NumericalError, ValueError):
+    """Linear system with non-finite entries, or the zero matrix (also a ValueError)."""
+
+
 class DegenerateCurveError(NumericalError):
     """Curve fails a geometric sanity check (zero tangent, nonpositive radius)."""
 

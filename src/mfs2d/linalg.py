@@ -12,12 +12,14 @@ the complex path the svd system takes.
 
 import numpy as np
 
+from .errors import DegenerateSystemError
+
 _SINGULAR_CUTOFF = 1e-300
 
 
 def _check_finite(a: np.ndarray, what: str):
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise DegenerateSystemError(f"{what} contains non-finite entries")
 
 
 def svd_thin(a):
@@ -55,7 +57,7 @@ def cond2(a) -> float:
     a = np.asarray(a)
     _check_finite(a, "matrix")
     if not np.any(a):
-        raise ValueError("condition number of the zero matrix is undefined")
+        raise DegenerateSystemError("condition number of the zero matrix is undefined")
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] < _SINGULAR_CUTOFF * s[0]:
         return float("inf")

@@ -17,9 +17,10 @@ svd     -- sources anywhere outside the scaled boundary disk; the kernel
            SVD; the rows of the right singular-vector block define a basis
            whose collocation matrix stays O(1)-conditioned at any N.
 
-basis_values is the one place that evaluates a backend's basis (its
-SourceSet, QrBasis or SvdBasis context) at points; solve_direct, solve_qr
-and solve_svd share one least-squares body.
+Every basis is feature rows times a coordinate matrix (_features, the one
+dispatch on the context): kernels and identity for direct, r/R monomials and
+`transform` for qr, the Arnoldi frame and `basis_coords` for svd.  All three
+evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
 """
 
 import math
@@ -157,10 +158,6 @@ class SvdBasis:
         np.conj(ez[:, 1:], out=out[:, p + 1 :])
         return out
 
-    def values_at(self, radii, angles) -> np.ndarray:
-        """Basis function values at points given in polar form, (n_pts, N) complex."""
-        return self.rows_at(radii, angles) @ self.basis_coords.T
-
 
 @dataclass(frozen=True)
 class QrBasis:
@@ -178,11 +175,6 @@ class QrBasis:
     scale_radius: float
     count: int
     degree: int
-
-    def values_at(self, radii, angles) -> np.ndarray:
-        """Basis function values at points given in polar form, (n_pts, N) real."""
-        r = np.asarray(radii, dtype=float) / self.scale_radius
-        return _real_monomials(r, angles, self.degree) @ self.transform.T
 
 
 # --- direct backend ----------------------------------------------------------
@@ -306,10 +298,8 @@ def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
 # --- qr backend --------------------------------------------------------------
 
 
-def _real_monomials(radii, angles, degree: int) -> np.ndarray:
+def _real_monomials(r: np.ndarray, th: np.ndarray, degree: int) -> np.ndarray:
     """[1, r cos t, r sin t, ..., r^p cos pt, r^p sin pt], shape (n, 2p+1)."""
-    r = np.asarray(radii, dtype=float)
-    th = np.asarray(angles, dtype=float)
     out = np.empty((r.shape[0], 2 * degree + 1))
     out[:, 0] = 1.0
     rm = np.ones_like(r)
@@ -377,7 +367,7 @@ def build_qr_basis(sources: SourceSet, degree: int, scale_radius: float = 1.0) -
 
 def assemble_qr_system(basis: QrBasis, colloc: CollocationSet) -> np.ndarray:
     """System matrix (M, N) real float64: the basis values at the collocation points."""
-    return basis.values_at(colloc.radii, colloc.angles)
+    return basis_values(basis, colloc.points)
 
 
 def assemble_qr(
@@ -408,16 +398,25 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _features(context, points: np.ndarray):
+    """Feature rows at (n, 2) points and the basis coordinates in them (None: identity)."""
+    if isinstance(context, SourceSet):
+        return _kernel(points, context), None
+    if isinstance(context, QrBasis):
+        r, th = polar_coordinates(points)
+        return _real_monomials(r / context.scale_radius, th, context.degree), context.transform
+    if isinstance(context, SvdBasis):
+        return context.rows_at(*polar_coordinates(points)), context.basis_coords
+    raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
+
+
 def basis_values(context, points: np.ndarray) -> np.ndarray:
     """Basis functions of a context at (n, 2) points, one column per function.
 
     `context` is a SourceSet (direct kernels), QrBasis or SvdBasis.
     """
-    if isinstance(context, SourceSet):
-        return _kernel(points, context)
-    if isinstance(context, (QrBasis, SvdBasis)):
-        return context.values_at(*polar_coordinates(points))
-    raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
+    rows, coords = _features(context, points)
+    return rows if coords is None else rows @ coords.T
 
 
 _CONTEXT_TYPES = {"direct": SourceSet, "qr": QrBasis, "svd": SvdBasis}
@@ -427,11 +426,8 @@ def _evaluate_complex(record: SolveRecord, context, points: np.ndarray) -> np.nd
     kind = _CONTEXT_TYPES.get(record.method)
     if kind is None or not isinstance(context, kind):
         raise ValueError(f"{record.method!r} evaluation cannot use a {type(context).__name__}")
-    if isinstance(context, SvdBasis):
-        # coefficients first: one (2p+1)-vector instead of an (n_pts, N) matrix
-        rows = context.rows_at(*polar_coordinates(points))
-        return rows @ (context.basis_coords.T @ record.coefficients)
-    return basis_values(context, points) @ record.coefficients
+    rows, coords = _features(context, points)
+    return rows @ (record.coefficients if coords is None else coords.T @ record.coefficients)
 
 
 def evaluate_solution(record: SolveRecord, context, points):

@@ -322,3 +322,11 @@ def test_basis_dump_context_equals_the_solved_cells(method):
         assert np.array_equal(dumped.basis_coords, solved.basis_coords)
         assert np.array_equal(dumped.z_factor.q, solved.z_factor.q)
         assert np.array_equal(dumped.w_factor.q, solved.w_factor.q)
+
+
+@pytest.mark.parametrize("n, p", [(193, 97), (199, 100), (200, 100), (201, 101)])
+def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
+    # p0 = 96 on star_kite with radius-2 sources; odd N = 2p+1 needs one more degree
+    cfg = config(domain="star_kite", methods=("qr",), n_values=(n,))
+    basis, _ = build_method_context(cfg, "qr", n)
+    assert basis.degree == p and 2 * p + 1 > n

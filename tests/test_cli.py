@@ -2,6 +2,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mfs2d import ConfigError
@@ -162,3 +163,46 @@ def test_shipped_configs_parse_and_solve(path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == CSV_HEADER
     assert len(out) == 1 + len(cfg.methods)
+
+
+class TestDegenerateSystems:
+    # N=1: the one source lands on the origin up to rounding, at distance 1
+    # from both collocation points, so the kernel matrix is all zeros
+    ZERO_KERNEL = CONFIG.replace("radius = 2", "cx = -2\nradius = 2").replace(
+        "methods = direct,svd\nN = 6,8", "methods = direct\nN = 1,2"
+    )
+    # Re(z^3000) overflows on star_kite (max |z| ~ 1.43)
+    OVERFLOW = CONFIG.replace("curve = circle\n\n[source]", "curve = star_kite\n\n[source]").replace(
+        "name = x2y3", "name = harmonic_k\nk = 3000"
+    ).replace("N = 6,8", "N = 10,20")
+
+    def test_zero_kernel_solve_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "zero.cfg"
+        path.write_text(self.ZERO_KERNEL)
+        assert main(["solve", "--config", str(path)]) == 3
+        assert "numerical failure: condition number of the zero matrix" in capsys.readouterr().err
+
+    def test_zero_kernel_sweep_keeps_the_other_cell(self, tmp_path, capsys):
+        path = tmp_path / "zero.cfg"
+        path.write_text(self.ZERO_KERNEL)
+        out = tmp_path / "table.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["direct", "2"]]
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: direct N=1: condition number of the zero matrix is undefined"]
+
+    def test_overflowing_data_sweep_reports_every_cell(self, tmp_path, capsys):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(self.OVERFLOW)
+        out = tmp_path / "table.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        assert out.read_text() == CSV_HEADER + "\n"
+        err = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+        assert err == [
+            f"error: {m} N={n}: right-hand side contains non-finite entries"
+            for m in ("direct", "svd")
+            for n in (10, 20)
+        ]

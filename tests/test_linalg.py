@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfs2d import cond2, lstsq, svd_thin
+from mfs2d import DegenerateSystemError, NumericalError, cond2, lstsq, svd_thin
 
 
 def random_complex(rng, shape):
@@ -127,3 +127,26 @@ class TestCond2:
 
         oracle = two_norm(a) * two_norm(np.linalg.inv(a))
         assert cond2(a) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: svd_thin(np.array([[1.0, np.nan]])),
+        lambda: lstsq(np.ones((3, 2)), np.array([1.0, np.inf, 0.0])),
+        lambda: cond2(np.array([[np.nan, 1.0], [0.0, 1.0]])),
+        lambda: cond2(np.zeros((3, 3))),
+    ],
+    ids=["svd_nan", "lstsq_inf", "cond2_nan", "cond2_zero"],
+)
+def test_degenerate_system_is_a_numerical_error(call):
+    # a sweep records NumericalError cells as errors and carries on
+    with pytest.raises(DegenerateSystemError) as info:
+        call()
+    assert isinstance(info.value, NumericalError) and isinstance(info.value, ValueError)
+
+
+def test_shape_misuse_stays_a_plain_value_error():
+    with pytest.raises(ValueError) as info:
+        lstsq(np.ones((2, 3)), np.ones(2))
+    assert not isinstance(info.value, NumericalError)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,3 +455,57 @@ class TestEvaluation:
         assert a.shape == (1600, 800)
         assert 1.0 <= record.cond2 <= 10.0
         assert boundary_error(record, domain, data) <= 1e-12
+
+
+def star_cell(method, n):
+    """Solved record of one star_kite cell with sources on the radius-2 circle."""
+    cfg = ExperimentConfig(
+        domain="star_kite",
+        source="circle",
+        source_params={"radius": 2.0},
+        data="x2y3",
+        methods=(method,),
+        n_values=(n,),
+        timing=False,
+    )
+    return run_single(cfg, method, n)[1]
+
+
+class TestCoefficientFirstEvaluation:
+    def test_qr_boundary_error_never_forms_the_basis_matrix(self):
+        record = star_cell("qr", 500)
+        monomial_bytes = 10001 * (2 * record.context.degree + 1) * 8
+        tracemalloc.start()
+        try:
+            boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (10001, 2p+1) monomials, not also a (10001, N) basis matrix
+        assert peak < 1.5 * monomial_bytes
+
+    @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
+    def test_unit_coefficients_evaluate_to_the_dumped_traces(self, method, tmp_path):
+        domain = make_curve("star_kite")
+        record = star_cell(method, 20)
+        path = emit_basis_samples(record.context, domain, 64, tmp_path / "basis.csv")[0]
+        dumped = np.loadtxt(path, delimiter=",", skiprows=1)
+        unit = dataclasses.replace(record, coefficients=np.eye(record.n_basis))
+        columns = evaluate_solution(unit, None, domain.point(dumped[:, 0]))
+        if method == "direct":    # the dump normalizes each kernel trace
+            columns = columns / np.max(np.abs(columns), axis=0)
+        assert np.allclose(dumped[:, 1:], columns, rtol=1e-12, atol=1e-12 * np.max(np.abs(columns)))
+
+    @pytest.mark.parametrize("method", ["direct", "svd"])
+    def test_evaluation_is_the_explicit_coefficient_first_product(self, method):
+        domain = make_curve("star_kite")
+        record = star_cell(method, 40)
+        boundary = domain.point(np.linspace(0.0, 2 * np.pi, 301))
+        pts = np.vstack([boundary, 0.5 * boundary])
+        c = record.coefficients
+        if method == "direct":
+            expected = assemble_direct(record.context, point_set(pts)) @ c
+        else:
+            basis = record.context
+            expected = (basis.rows_at(*polar_coordinates(pts)) @ (basis.basis_coords.T @ c)).real
+        assert np.array_equal(evaluate_solution(record, None, pts), expected)
