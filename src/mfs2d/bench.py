@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintViolationError, InsufficientDataError, NumericalError
+from .errors import ConfigError, ConstraintViolationError, DegenerateSystemError
+from .errors import InsufficientDataError, NumericalError
 from .expansion import MACHINE_EPS, expansion_degree, setup_expansion, truncation_order
 from .geometry import (
     BoundaryCurve,
@@ -56,6 +57,10 @@ from .solvers import (
 CSV_HEADER = "method,N,M,p,cond2,linf_error,max_imag,runtime_ms,constraint_margin"
 _METHODS = ("direct", "qr", "svd")
 _SATURATION_COND = 1e15
+# Rounding in the points shifts a direct trace -log|x - y_j|/(2 pi) by a few eps
+# on the shipped geometries, so a max-abs at or below this floor (4500 eps) is
+# noise; real traces sit far above it (smallest on star_circle2: 0.187).
+_TRACE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class ExperimentConfig:
     m_rule: int = 2
     tol: float = MACHINE_EPS
     error_samples: int = 10001
-    seed: int = 0
     timing: bool = True
 
     def __post_init__(self):
@@ -118,7 +122,7 @@ class SweepTable:
 
 # --- config parsing ----------------------------------------------------------
 
-_RUN_KEYS = {"methods", "n", "m_rule", "tol", "error_samples", "seed", "timing"}
+_RUN_KEYS = {"methods", "n", "m_rule", "tol", "error_samples", "timing"}
 
 
 def _parse_n_values(text: str):
@@ -134,13 +138,14 @@ def _parse_n_values(text: str):
     return tuple(int(p) for p in text.split(","))
 
 
-def _curve_section(cp, section):
+def _named_section(cp, section, key):
+    """The catalog name under `key` and the numeric parameters of a section."""
     if section not in cp:
         raise ConfigError(f"missing [{section}] section")
     items = dict(cp[section])
-    if "curve" not in items:
-        raise ConfigError(f"[{section}] needs a 'curve' key")
-    name = items.pop("curve")
+    if key not in items:
+        raise ConfigError(f"[{section}] needs a '{key}' key")
+    name = items.pop(key)
     params = {}
     for k, v in items.items():
         try:
@@ -160,16 +165,9 @@ def parse_config(path) -> ExperimentConfig:
     if extra:
         raise ConfigError(f"unknown config sections {sorted(extra)}")
 
-    domain, domain_params = _curve_section(cp, "domain")
-    source, source_params = _curve_section(cp, "source")
-
-    if "data" not in cp:
-        raise ConfigError("missing [data] section")
-    data_items = dict(cp["data"])
-    if "name" not in data_items:
-        raise ConfigError("[data] needs a 'name' key")
-    data = data_items.pop("name")
-    data_params = {k: float(v) for k, v in data_items.items()}
+    domain, domain_params = _named_section(cp, "domain", "curve")
+    source, source_params = _named_section(cp, "source", "curve")
+    data, data_params = _named_section(cp, "data", "name")
 
     if "run" not in cp:
         raise ConfigError("missing [run] section")
@@ -195,7 +193,6 @@ def parse_config(path) -> ExperimentConfig:
             m_rule=int(run.get("m_rule", 2)),
             tol=float(run.get("tol", MACHINE_EPS)),
             error_samples=int(run.get("error_samples", 10001)),
-            seed=int(run.get("seed", 0)),
             timing=timing == "on",
         )
     except ValueError as exc:
@@ -409,6 +406,7 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     trace normalized to unit max-abs.  svd (SvdBasis context): two files,
     '<stem>_real<ext>' and '<stem>_imag<ext>', raw values.  qr (QrBasis
     context): one file, raw values.  Returns the list of paths written.
+    Raises DegenerateSystemError when a direct trace is too small to normalize.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -416,7 +414,11 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     traces = basis_values(context, grid.points)
     path = str(path)
     if isinstance(context, SourceSet):
-        traces = traces / np.max(np.abs(traces), axis=0, keepdims=True)
+        peaks = np.max(np.abs(traces), axis=0)
+        if np.min(peaks) <= _TRACE_FLOOR:
+            j = int(np.argmin(peaks))
+            raise DegenerateSystemError(f"direct trace psi{j + 1} vanishes, max-abs {peaks[j]:.3g}")
+        traces = traces / peaks
     if not isinstance(context, SvdBasis):
         _basis_csv(path, grid.params, traces.T, [f"psi{j + 1}" for j in range(context.count)])
         return [path]

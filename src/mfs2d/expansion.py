@@ -86,30 +86,18 @@ def hurwitz_lerch_phi1(z: float, a: int) -> float:
     return math.fsum(terms)
 
 
-def _first_at_most(f, tol: float, lo: int, hi: int) -> int:
-    """Smallest p in [lo, hi] with f(p) <= tol, for f decreasing and f(hi) <= tol."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if f(mid) > tol:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+TAIL_BLOCK = 4096    # terms per step of the tail walk in truncation_order
 
 
 def truncation_order(ratio: float, tol: float) -> int:
     """Smallest p0 >= 0 with ratio^(p0+1) * Phi(ratio, 1, p0+1) <= tol.
 
-    `ratio` is the geometric decay factor q = max_j R/rho_j.  The left side
-    is the kernel tail sum_{k>p0} q^k/k, strictly decreasing in p0 and
-    bracketed in closed form by
-
-        q^(p+1) / (p+1)  <=  tail(p)  <=  q^(p+1) / ((p+1)(1-q)),
-
-    so p0 lies between the first p where the lower bound drops to tol and
-    the first p where the upper bound does.  Both brackets are found by
-    bisection on the cheap bounds, then p0 by bisection on the tail itself:
-    O(log p0) evaluations of Phi instead of p0 + 1.
+    `ratio` is q = max_j R/rho_j; the left side is the kernel tail
+    sum_{k>p0} q^k/k.  The terms are added smallest first (the accurate order
+    for a decreasing series) from the K where q^(K+1)/((K+1)(1-q)) < eps*tol
+    down; the first running sum above tol is tail(k-1), so p0 = k.  Blocks of
+    TAIL_BLOCK terms are sequential cumsums from the running tail, so p0 does
+    not depend on the block size.  Work O(K - p0), memory O(TAIL_BLOCK).
     """
     if not 0.0 < ratio < 1.0:
         raise ConstraintViolationError(
@@ -117,31 +105,19 @@ def truncation_order(ratio: float, tol: float) -> int:
         )
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    log_q, log_tol = math.log(ratio), math.log(tol)
-    log_1mq = math.log1p(-ratio)
-
-    def tail(p):
-        return ratio ** (p + 1) * hurwitz_lerch_phi1(ratio, p + 1)
-
-    def upper(p):    # log of q^(p+1) / ((p+1)(1-q)), compared with log(tol)
-        return (p + 1) * log_q - math.log(p + 1) - log_1mq
-
-    def lower(p):
-        return (p + 1) * log_q - math.log(p + 1)
-
-    # q^(start+1) <= tol (1-q) makes upper(start) <= log(tol).
-    start = max(0, math.ceil((log_tol + log_1mq) / log_q) - 1)
-    hi = _first_at_most(upper, log_tol, 0, start)
-    lo = _first_at_most(lower, log_tol, 0, hi)
-    p0 = _first_at_most(tail, tol, lo, hi)
-    # The bounds are evaluated in floating point; these steps, one call each
-    # when the bracket held, make p0 the first p where the computed tail is
-    # at most tol, as a search from zero would find it.
-    while tail(p0) > tol:
-        p0 += 1
-    while p0 > 0 and tail(p0 - 1) <= tol:
-        p0 -= 1
-    return p0
+    # q^(K+1) <= eps * tol * (1-q) bounds the left-out tail by eps * tol.
+    log_left = math.log(MACHINE_EPS) + math.log(tol) + math.log1p(-ratio)
+    k = max(1, math.ceil(log_left / math.log(ratio)) - 1)
+    tail = 0.0
+    while k >= 1:
+        ks = np.arange(k, max(k - TAIL_BLOCK, 0), -1, dtype=float)
+        sums = np.cumsum(np.concatenate(([tail], ratio**ks / ks)))[1:]
+        above = np.flatnonzero(sums > tol)
+        if above.size:
+            return int(ks[above[0]])
+        tail = float(sums[-1])
+        k -= TAIL_BLOCK
+    return 0
 
 
 def expansion_degree(p0: int, n_basis: int) -> int:

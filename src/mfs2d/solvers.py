@@ -70,7 +70,9 @@ class BoundaryData:
 
 def _harmonic_re(k):
     def fn(x, y):
-        return ((x + 1j * y) ** k).real
+        # Overflow is left as inf/nan for linalg's finiteness check to report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((x + 1j * y) ** k).real
 
     return fn
 

@@ -1,6 +1,7 @@
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ class TestSolve:
         path = tmp_path / "bad.cfg"
         path.write_text(CONFIG.replace("curve = circle\nradius = 2", "curve = blob9"))
         assert main(["solve", "--config", str(path)]) == 2
+
+    def test_non_numeric_data_parameter_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG.replace("name = x2y3", "name = harmonic_k\nk = abc"))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "configuration error: [data] k: expected a number" in capsys.readouterr().err
+
+    def test_seed_is_an_unknown_run_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(CONFIG + "seed = 0\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "configuration error: unknown [run] keys ['seed']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_non_finite_source_radius_exits_2(self, tmp_path, capsys, command):
@@ -192,6 +205,29 @@ class TestDegenerateSystems:
         assert [ln.split(",")[:2] for ln in lines[1:]] == [["direct", "2"]]
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: direct N=1: condition number of the zero matrix is undefined"]
+
+    @pytest.mark.parametrize("samples", [2, 8])    # max-abs exactly 0, then 7e-17
+    def test_vanishing_direct_trace_exits_3(self, tmp_path, capsys, samples):
+        path = tmp_path / "zero.cfg"
+        path.write_text(self.ZERO_KERNEL)
+        out = tmp_path / "basis.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["basis", "--config", str(path), "--n", "1", "--samples", str(samples),
+                       "--out", str(out), "--method", "direct"])
+        assert rc == 3
+        assert "numerical failure: direct trace psi1 vanishes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_data_solve_warns_nothing(self, tmp_path, capsys):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(self.OVERFLOW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: right-hand side contains non-finite entries\n"
+        )
 
     def test_overflowing_data_sweep_reports_every_cell(self, tmp_path, capsys):
         path = tmp_path / "overflow.cfg"

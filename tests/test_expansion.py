@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -150,6 +151,23 @@ class TestTruncationOrder:
         monkeypatch.setattr(expansion, "hurwitz_lerch_phi1", counting)
         assert truncation_order(1 / 1.03, MACHINE_EPS) == 1101
         assert len(calls) <= 2 * math.ceil(math.log2(1102)) + 4
+
+    def test_near_one_order_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            p0 = truncation_order(1 - 1e-5, MACHINE_EPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p0 == 3253183
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_order_independent_of_block_size(self, monkeypatch, block):
+        cases = [(q, tol) for q in (0.5, 1 / 1.03, 0.99) for tol in (MACHINE_EPS, 1e-8)]
+        monkeypatch.setattr(expansion, "TAIL_BLOCK", block)
+        orders = [truncation_order(q, tol) for q, tol in cases]
+        assert orders == [47, 22, 1101, 528, 3237, 1554]
 
 
 class TestExpansionDegree:
