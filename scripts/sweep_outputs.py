@@ -1,4 +1,4 @@
-"""Write every sweep CSV and basis dump of a checkout, for byte-for-byte comparison.
+"""Write every sweep, solve, basis and fit output of a checkout, for byte-for-byte comparison.
 
     python scripts/sweep_outputs.py OUTDIR [CHECKOUT]
 
@@ -7,9 +7,13 @@ CHECKOUT (default: the repository holding this script) is the tree whose
 `perfbench/configs/*.cfg` the script runs `mfs2d sweep` with `timing = off`
 forced in `[run]`, and writes the table and the command's stderr to
 `OUTDIR/<dir>/<name>.csv` and `OUTDIR/<dir>/<name>.stderr`, `<dir>` being
-`configs` or `perfbench/configs`.  It then writes the `mfs2d basis` dumps of
-`configs/star_circle2.cfg` listed in BASIS_DUMPS to `OUTDIR/basis/`.  Run it
-once per checkout (e.g. a `git clone` of the parent commit) and compare with
+`configs` or `perfbench/configs`.  On the same config it runs `mfs2d solve`
+and writes its stdout and stderr to `OUTDIR/<dir>/<name>.solve.csv` and
+`OUTDIR/<dir>/<name>.solve.stderr`.  It then writes the `mfs2d basis` dumps
+of `configs/star_circle2.cfg` listed in BASIS_DUMPS to `OUTDIR/basis/`, and
+the stdout of `mfs2d fit` on each sweep table listed in FITS to
+`OUTDIR/fit/<name>_<method>.csv`.  Run it once per checkout (e.g. a
+`git clone` of the parent commit) and compare with
 `diff -r OUTDIR_A OUTDIR_B`.
 
 BLAS runs on one thread.  The exit status is 1 when any command exited
@@ -32,6 +36,7 @@ BASIS_DUMPS = (    # (method, N, samples)
     ("svd", 200, 300),
     ("qr", 200, 600),
 )
+FITS = (("configs/disk_growth_law", "direct"),)    # (sweep table, method)
 
 
 def _run(checkout: Path, args) -> subprocess.CompletedProcess:
@@ -71,6 +76,11 @@ def main(argv=None) -> int:
                 (dest / f"{config.stem}.stderr").write_text(done.stderr)
                 if done.returncode:
                     failed.append(f"{config_dir}/{config.name}")
+                done = _run(checkout, ["solve", "--config", str(cfg)])
+                (dest / f"{config.stem}.solve.csv").write_text(done.stdout)
+                (dest / f"{config.stem}.solve.stderr").write_text(done.stderr)
+                if done.returncode:
+                    failed.append(f"solve {config_dir}/{config.name}")
     basis = out / "basis"
     basis.mkdir(parents=True, exist_ok=True)
     for method, n, samples in BASIS_DUMPS:
@@ -81,6 +91,15 @@ def main(argv=None) -> int:
         if done.returncode:
             (basis / f"{stem}.stderr").write_text(done.stderr)
             failed.append(stem)
+    fits = out / "fit"
+    fits.mkdir(parents=True, exist_ok=True)
+    for table, method in FITS:
+        stem = f"{Path(table).name}_{method}"
+        done = _run(checkout, ["fit", "--in", str(out / f"{table}.csv"), "--method", method])
+        (fits / f"{stem}.csv").write_text(done.stdout)
+        if done.returncode:
+            (fits / f"{stem}.stderr").write_text(done.stderr)
+            failed.append(f"fit {stem}")
     for name in failed:
         sys.stderr.write(f"failed: {name}\n")
     return 1 if failed else 0

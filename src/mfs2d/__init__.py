@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
     RankDeficiencyError,
     SingularityError,
+    SizeLimitError,
 )
 from .expansion import (
     MACHINE_EPS,

@@ -7,27 +7,26 @@ rows in a SweepTable that serializes to CSV with the fixed header
 
     method,N,M,p,cond2,linf_error,max_imag,runtime_ms,constraint_margin
 
-Rows that fail numerically (e.g. the svd backend with sources violating the
-separation constraint) are reported on the table's error list; the sweep
-continues.  Floats are written with repr, so parsing and re-emitting a table
-is byte-identical.
+whose columns are the fields of SweepRow.  Rows that fail numerically (e.g.
+svd sources violating the separation constraint, or a cell over the
+FEATURE_BYTES_MAX budget) are reported on the table's error list; the sweep
+continues.  Floats are written with repr, so a table round-trips byte-identically.
 
-_build is the one place that checks a backend's preconditions and picks its
-expansion degree; run_single (the sweep cells) and build_method_context
-(basis dumps) both go through it.
+run_single (sweep cells) and build_method_context (basis dumps) share _sample,
+which draws a cell's points, and _build, which checks and builds its backend.
 """
 
 import configparser
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, DegenerateSystemError
-from .errors import InsufficientDataError, NumericalError
+from .errors import InsufficientDataError, NumericalError, SizeLimitError
 from .expansion import MACHINE_EPS, expansion_degree, setup_expansion, truncation_order
 from .geometry import (
     BoundaryCurve,
@@ -61,6 +60,9 @@ _SATURATION_COND = 1e15
 # on the shipped geometries, so a max-abs at or below this floor (4500 eps) is
 # noise; real traces sit far above it (smallest on star_circle2: 0.187).
 _TRACE_FLOOR = 1e-12
+# Bytes of the largest feature matrix (evaluation rows x basis width) one cell
+# may build; the largest shipped cells, direct N=1000 and svd N=500, need 80 MB.
+FEATURE_BYTES_MAX = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,10 @@ class SweepRow:
     constraint_margin: float
 
 
+# (name, type) of each CSV column, in CSV_HEADER order
+_COLUMNS = tuple((f.name, f.type) for f in fields(SweepRow))
+
+
 @dataclass
 class SweepTable:
     rows: list
@@ -122,7 +128,12 @@ class SweepTable:
 
 # --- config parsing ----------------------------------------------------------
 
-_RUN_KEYS = {"methods", "n", "m_rule", "tol", "error_samples", "timing"}
+
+def _parse_timing(text: str) -> bool:
+    text = text.strip().lower()
+    if text not in ("on", "off"):
+        raise ConfigError("timing must be 'on' or 'off'")
+    return text == "on"
 
 
 def _parse_n_values(text: str):
@@ -136,6 +147,17 @@ def _parse_n_values(text: str):
             raise ConfigError("range step must be positive")
         return tuple(range(start, stop + 1, step))
     return tuple(int(p) for p in text.split(","))
+
+
+# [run] key -> (ExperimentConfig field, parser); the dataclass holds the defaults
+_RUN_FIELDS = {
+    "timing": ("timing", _parse_timing),
+    "methods": ("methods", lambda text: tuple(m.strip() for m in text.split(",") if m.strip())),
+    "n": ("n_values", _parse_n_values),
+    "m_rule": ("m_rule", int),
+    "tol": ("tol", float),
+    "error_samples": ("error_samples", int),
+}
 
 
 def _named_section(cp, section, key):
@@ -160,8 +182,7 @@ def parse_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     with open(path) as fh:
         cp.read_file(fh)
-    known = {"domain", "source", "data", "run"}
-    extra = set(cp.sections()) - known
+    extra = set(cp.sections()) - {"domain", "source", "data", "run"}
     if extra:
         raise ConfigError(f"unknown config sections {sorted(extra)}")
 
@@ -172,28 +193,20 @@ def parse_config(path) -> ExperimentConfig:
     if "run" not in cp:
         raise ConfigError("missing [run] section")
     run = dict(cp["run"])
-    unknown = set(run) - _RUN_KEYS
+    unknown = set(run).difference(_RUN_FIELDS)
     if unknown:
         raise ConfigError(f"unknown [run] keys {sorted(unknown)}")
     if "methods" not in run or "n" not in run:
         raise ConfigError("[run] needs 'methods' and 'N' keys")
-    timing = run.get("timing", "on").strip().lower()
-    if timing not in ("on", "off"):
-        raise ConfigError("timing must be 'on' or 'off'")
     try:
         cfg = ExperimentConfig(
             domain=domain,
             source=source,
             data=data,
-            methods=tuple(m.strip() for m in run["methods"].split(",") if m.strip()),
-            n_values=_parse_n_values(run["n"]),
             domain_params=domain_params,
             source_params=source_params,
             data_params=data_params,
-            m_rule=int(run.get("m_rule", 2)),
-            tol=float(run.get("tol", MACHINE_EPS)),
-            error_samples=int(run.get("error_samples", 10001)),
-            timing=timing == "on",
+            **{name: parse(run[key]) for key, (name, parse) in _RUN_FIELDS.items() if key in run},
         )
     except ValueError as exc:
         raise ConfigError(f"bad [run] value: {exc}") from None
@@ -225,10 +238,28 @@ def _workspace(cfg: ExperimentConfig) -> _Workspace:
     )
 
 
+def _sample(cfg: ExperimentConfig, ws: _Workspace, n: int):
+    """Collocation points, sources and separation margin of an N-source cell."""
+    colloc = sample_collocation(ws.domain, cfg.m_rule * n)
+    sources = sample_sources(ws.source, n)
+    return colloc, sources, check_source_constraint(sources, ws.boundary_radius).margin
+
+
+def _check_size(cfg: ExperimentConfig, colloc, width: int, itemsize: int = 8):
+    """Refuse a cell whose largest feature matrix would exceed FEATURE_BYTES_MAX."""
+    rows = max(cfg.error_samples, colloc.count)
+    if rows * width * itemsize > FEATURE_BYTES_MAX:
+        raise SizeLimitError(
+            f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.3g} GiB, "
+            f"over the {FEATURE_BYTES_MAX / 2**30:g} GiB budget"
+        )
+
+
 def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, margin: float):
     """Evaluation context and expansion degree (0 for direct) of one cell."""
     n = sources.count
     if method == "direct":
+        _check_size(cfg, colloc, n)
         return sources, 0
     if method == "svd":
         if margin <= 0.0:
@@ -240,10 +271,12 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
                 f"carry {n} svd basis functions (need 2*floor((M-1)/2)+1 >= N)"
             )
         setup = setup_expansion(sources, ws.boundary_radius, n, cfg.tol, max_degree=(m - 1) // 2)
+        _check_size(cfg, colloc, 2 * setup.degree + 1, itemsize=16)
         return build_svd_basis(setup, colloc), setup.degree
     if method == "qr":
         ratio = float(np.max(ws.boundary_radius / sources.radii))
         p = expansion_degree(truncation_order(ratio, cfg.tol), n + 1)    # qr needs 2p+1 > n
+        _check_size(cfg, colloc, 2 * p + 1)
         return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
@@ -251,10 +284,7 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
 def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspace] = None):
     """Solve one (method, N) cell; returns (SweepRow, SolveRecord)."""
     ws = ws or _workspace(cfg)
-    m = cfg.m_rule * n
-    colloc = sample_collocation(ws.domain, m)
-    sources = sample_sources(ws.source, n)
-    margin = check_source_constraint(sources, ws.boundary_radius).margin
+    colloc, sources, margin = _sample(cfg, ws, n)
 
     t0 = time.perf_counter()
     context, p = _build(cfg, method, ws, colloc, sources, margin)
@@ -265,14 +295,12 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspa
         record = solve_svd(context, assemble_svd_system(context, colloc), g)
     else:
         record = solve_qr(context, assemble_qr_system(context, colloc), g)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-
-    record.runtime_ms = runtime_ms
+    record.runtime_ms = runtime_ms = (time.perf_counter() - t0) * 1e3
     boundary_error(record, ws.domain, ws.data, cfg.error_samples)
     row = SweepRow(
         method=method,
         n=n,
-        m=m,
+        m=colloc.count,
         p=p,
         cond2=record.cond2,
         linf_error=record.linf_boundary_error,
@@ -290,11 +318,9 @@ def run_sweep(cfg: ExperimentConfig) -> SweepTable:
     for method in cfg.methods:
         for n in cfg.n_values:
             try:
-                row, _ = run_single(cfg, method, n, ws)
+                table.rows.append(run_single(cfg, method, n, ws)[0])
             except NumericalError as exc:
                 table.errors.append((method, n, str(exc)))
-                continue
-            table.rows.append(row)
     table.rows.sort(key=lambda r: (r.method, r.n))
     return table
 
@@ -302,29 +328,10 @@ def run_sweep(cfg: ExperimentConfig) -> SweepTable:
 # --- CSV ---------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def table_to_csv(table: SweepTable) -> str:
-    lines = [CSV_HEADER]
-    for r in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    str(r.n),
-                    str(r.m),
-                    str(r.p),
-                    _fmt(r.cond2),
-                    _fmt(r.linf_error),
-                    _fmt(r.max_imag),
-                    _fmt(r.runtime_ms),
-                    _fmt(r.constraint_margin),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """The table as CSV; str of a float is its repr, so the text round-trips."""
+    rows = [",".join(str(kind(getattr(r, name))) for name, kind in _COLUMNS) for r in table.rows]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def write_table(table: SweepTable, path):
@@ -340,21 +347,12 @@ def read_table(path) -> SweepTable:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 9:
-            raise ConfigError(f"malformed CSV row: {ln!r}")
-        rows.append(
-            SweepRow(
-                method=parts[0],
-                n=int(parts[1]),
-                m=int(parts[2]),
-                p=int(parts[3]),
-                cond2=float(parts[4]),
-                linf_error=float(parts[5]),
-                max_imag=float(parts[6]),
-                runtime_ms=float(parts[7]),
-                constraint_margin=float(parts[8]),
-            )
-        )
+        if len(parts) != len(_COLUMNS):
+            raise ConfigError(f"malformed CSV row {ln!r}: expected {len(_COLUMNS)} fields")
+        try:
+            rows.append(SweepRow(*(kind(v) for (_, kind), v in zip(_COLUMNS, parts))))
+        except ValueError as exc:
+            raise ConfigError(f"malformed CSV row {ln!r}: {exc}") from None
     return SweepTable(rows=rows)
 
 
@@ -382,19 +380,16 @@ def fit_growth_rate(table: SweepTable, method: str) -> GrowthFit:
         raise InsufficientDataError(
             f"{len(rows)} usable rows for method {method!r}, need at least 4"
         )
-    n = np.array([r.n for r in rows], dtype=float)
-    y = np.log(np.array([r.cond2 for r in rows]))
-    slope, intercept = np.polyfit(n, y, 1)
+    slope, intercept = np.polyfit([r.n for r in rows], np.log([r.cond2 for r in rows]), 1)
     return GrowthFit(slope=float(slope), intercept=float(intercept))
 
 
 # --- basis sampling ----------------------------------------------------------
 
 
-def _basis_csv(path, t, columns, labels):
+def _basis_csv(path, t, values, labels):
     lines = ["t," + ",".join(labels)]
-    for i, ti in enumerate(t):
-        lines.append(",".join([_fmt(ti)] + [_fmt(c[i]) for c in columns]))
+    lines += [",".join(map(str, row)) for row in np.column_stack([t, values]).tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -420,20 +415,17 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
             raise DegenerateSystemError(f"direct trace psi{j + 1} vanishes, max-abs {peaks[j]:.3g}")
         traces = traces / peaks
     if not isinstance(context, SvdBasis):
-        _basis_csv(path, grid.params, traces.T, [f"psi{j + 1}" for j in range(context.count)])
+        _basis_csv(path, grid.params, traces, [f"psi{j + 1}" for j in range(context.count)])
         return [path]
     stem, ext = os.path.splitext(path)
     paths = [f"{stem}_real{ext}", f"{stem}_imag{ext}"]
     labels = [f"phi{j + 1}" for j in range(context.count)]
-    _basis_csv(paths[0], grid.params, traces.real.T, labels)
-    _basis_csv(paths[1], grid.params, traces.imag.T, labels)
+    _basis_csv(paths[0], grid.params, traces.real, labels)
+    _basis_csv(paths[1], grid.params, traces.imag, labels)
     return paths
 
 
 def build_method_context(cfg: ExperimentConfig, method: str, n: int):
     """Construct the evaluation context a basis dump needs for (method, N)."""
     ws = _workspace(cfg)
-    colloc = sample_collocation(ws.domain, cfg.m_rule * n)
-    sources = sample_sources(ws.source, n)
-    margin = check_source_constraint(sources, ws.boundary_radius).margin
-    return _build(cfg, method, ws, colloc, sources, margin)[0], ws
+    return _build(cfg, method, ws, *_sample(cfg, ws, n))[0], ws

@@ -67,6 +67,8 @@ def _cmd_basis(args) -> int:
     cfg = bench.parse_config(args.config)
     if args.n <= 0:
         raise ConfigError("--n must be positive")
+    if args.samples < 2:
+        raise ConfigError("--samples must be >= 2")
     method = args.method or cfg.methods[0]
     context, ws = bench.build_method_context(cfg, method, args.n)
     paths = bench.emit_basis_samples(context, ws.domain, args.samples, args.out)

@@ -59,5 +59,9 @@ class RankDeficiencyError(NumericalError):
         super().__init__(message or f"rank deficiency, singular-value tail {tail}")
 
 
+class SizeLimitError(NumericalError):
+    """Problem whose largest matrix would exceed the memory budget."""
+
+
 class InsufficientDataError(NumericalError):
     """Not enough usable rows for a fit."""

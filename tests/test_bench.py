@@ -1,7 +1,13 @@
 import math
+import string
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfs2d import (
     ConfigError,
@@ -21,6 +27,7 @@ from mfs2d import (
     table_to_csv,
     write_table,
 )
+from mfs2d import SizeLimitError, bench
 from mfs2d.bench import CSV_HEADER, build_method_context
 
 BASE_CONFIG = """\
@@ -171,6 +178,89 @@ class TestCsv:
         path.write_text("method,N\nsvd,8\n")
         with pytest.raises(ConfigError):
             read_table(path)
+
+    def test_header_names_every_row_field_in_order(self):
+        assert [h.lower() for h in CSV_HEADER.split(",")] == [f.name for f in fields(SweepRow)]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "direct,ten,20,0,1.0,0.0,0.0,0.0,0.5",     # non-integral N
+            "direct,10,20,0,big,0.0,0.0,0.0,0.5",      # non-numeric cond2
+            "direct,10,20,0,1.0,0.0,0.0,0.0",          # a field short
+            "direct,10,20,0,1.0,0.0,0.0,0.0,0.5,1.0",  # a field over
+        ],
+    )
+    def test_malformed_row_is_a_config_error(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n{row}\n")
+        with pytest.raises(ConfigError, match="malformed CSV row"):
+            read_table(path)
+
+
+def _same(a, b):
+    """Equal and of one type; floats also match nan to nan and the sign of zero."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1.7976931348623157e308]
+_ANY_FLOAT = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_ROWS = st.builds(
+    SweepRow,
+    st.text(string.ascii_letters + string.digits + "_", max_size=8),
+    *[st.integers(-(2**63), 2**63)] * 3,
+    *[_ANY_FLOAT] * 5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROWS, max_size=6))
+@example(rows=[SweepRow("svd", 8, 16, 3, *_EDGE_FLOATS[:5])])
+@example(rows=[SweepRow("qr", 0, -1, 2**63, *_EDGE_FLOATS[2:])])
+def test_csv_roundtrip_keeps_every_value(rows):
+    table = SweepTable(rows=rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_table(table, path)
+        back = read_table(path)
+        assert table_to_csv(back) == path.read_text() == table_to_csv(table)
+    assert len(back.rows) == len(rows)
+    for got, want in zip(back.rows, rows):
+        for name, value in vars(want).items():
+            assert _same(getattr(got, name), value), name
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
+    def test_every_backend_refuses_before_building(self, monkeypatch, method):
+        def built(*args, **kwargs):
+            raise AssertionError("basis built past the size guard")
+
+        monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 0)
+        monkeypatch.setattr(bench, "build_qr_basis", built)
+        monkeypatch.setattr(bench, "build_svd_basis", built)
+        with pytest.raises(SizeLimitError, match="over the 0 GiB budget"):
+            run_single(config(methods=(method,)), method, 8)
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # direct N=8: 10001 evaluation rows x 8 kernels x 8 bytes
+        monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * 8 * 8)
+        run_single(config(methods=("direct",)), "direct", 8)
+        monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * 8 * 8 - 1)
+        with pytest.raises(SizeLimitError, match="10001 x 8 feature matrix"):
+            run_single(config(methods=("direct",)), "direct", 8)
+
+    def test_sweep_records_the_refused_cell(self, monkeypatch):
+        monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * 8 * 8)
+        table = run_sweep(config(methods=("direct",), n_values=(8, 9)))
+        assert [r.n for r in table.rows] == [8]
+        assert [e[:2] for e in table.errors] == [("direct", 9)]
 
 
 class TestFitGrowthRate:

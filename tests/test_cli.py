@@ -1,6 +1,7 @@
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,6 +121,14 @@ class TestSweepAndFit:
         assert out[0] == "slope,intercept"
         assert abs(float(out[1].split(",")[0]) - 0.5) < 1e-12
 
+    def test_fit_non_numeric_field_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(CSV_HEADER + "\ndirect,ten,20,0,1.0,0.0,0.0,0.0,0.5\n")
+        assert main(["fit", "--in", str(path), "--method", "direct"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: malformed CSV row 'direct,ten,")
+        assert "Traceback" not in err
+
     def test_fit_missing_file_exits_4(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "none.csv"), "--method", "direct"]) == 4
 
@@ -141,6 +150,15 @@ class TestBasis:
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed == [out.replace(".csv", "_real.csv"), out.replace(".csv", "_imag.csv")]
 
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_samples_below_two_exit_2(self, config_path, tmp_path, capsys, samples):
+        out = tmp_path / "basis.csv"
+        rc = main(["basis", "--config", config_path, "--n", "6", "--samples", samples,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "configuration error: --samples must be >= 2\n"
+        assert not out.exists()
 
     def test_undersampled_svd_grid_exits_2(self, tmp_path, capsys):
         # M = N = 50 collocation points cannot carry 50 svd basis functions
@@ -242,3 +260,46 @@ class TestDegenerateSystems:
             for m in ("direct", "svd")
             for n in (10, 20)
         ]
+
+
+class TestSizeGuard:
+    # qr on star_kite (R ~ 1.4256) with sources just outside R: the degree has
+    # no cap, so radius 1.43 asks for a 10001 x 21169 monomial matrix (1.6 GiB)
+    # and radius 1.4257 for a 10001 x 1046555 one (78 GiB).
+    @pytest.fixture(params=["1.43", "1.4257"])
+    def huge_qr(self, request, tmp_path):
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            CONFIG.replace("curve = circle\n\n[source]", "curve = star_kite\n\n[source]")
+            .replace("radius = 2", f"radius = {request.param}")
+            .replace("methods = direct,svd\nN = 6,8", "methods = direct,qr\nN = 10")
+        )
+        return str(path)
+
+    @staticmethod
+    def traced_main(argv):
+        """Exit code and tracemalloc peak in bytes of one CLI call."""
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            return rc, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_exits_3_without_allocating(self, huge_qr, capsys):
+        rc, peak = self.traced_main(["solve", "--config", huge_qr])
+        assert rc == 3
+        assert peak < 64 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 10001 x ")
+        assert err.endswith("GiB, over the 1 GiB budget\n")
+
+    def test_sweep_keeps_the_other_cell(self, huge_qr, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        rc, peak = self.traced_main(["sweep", "--config", huge_qr, "--out", str(out)])
+        assert rc == 0
+        assert peak < 64 * 2**20
+        lines = out.read_text().splitlines()
+        assert [ln.split(",")[:2] for ln in lines[1:]] == [["direct", "10"]]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: qr N=10: 10001 x ")
