@@ -9,8 +9,9 @@ forced in `[run]`, and writes the table and the command's stderr to
 `OUTDIR/<dir>/<name>.csv` and `OUTDIR/<dir>/<name>.stderr`, `<dir>` being
 `configs` or `perfbench/configs`.  On the same config it runs `mfs2d solve`
 and writes its stdout and stderr to `OUTDIR/<dir>/<name>.solve.csv` and
-`OUTDIR/<dir>/<name>.solve.stderr`.  It then writes the `mfs2d basis` dumps
-of `configs/star_circle2.cfg` listed in BASIS_DUMPS to `OUTDIR/basis/`, and
+`OUTDIR/<dir>/<name>.solve.stderr`.  It then writes each `mfs2d basis` dump
+listed in BASIS_DUMPS to `OUTDIR/basis/<config>_<method>_n<N>_s<samples>.csv`
+(svd: a `_real.csv` and `_imag.csv` pair), and
 the stdout of `mfs2d fit` on each sweep table listed in FITS to
 `OUTDIR/fit/<name>_<method>.csv`.  Run it once per checkout (e.g. a
 `git clone` of the parent commit) and compare with
@@ -28,13 +29,14 @@ import tempfile
 from pathlib import Path
 
 CONFIG_DIRS = ("configs", "perfbench/configs")
-BASIS_CONFIG = "configs/star_circle2.cfg"
-BASIS_DUMPS = (    # (method, N, samples)
-    ("direct", 50, 200),
-    ("qr", 50, 200),
-    ("svd", 50, 200),
-    ("svd", 200, 300),
-    ("qr", 200, 600),
+BASIS_DUMPS = (    # (config, method, N, samples)
+    ("configs/star_circle2.cfg", "direct", 50, 200),
+    ("configs/star_circle2.cfg", "qr", 50, 200),
+    ("configs/star_circle2.cfg", "svd", 50, 200),
+    ("configs/star_circle2.cfg", "svd", 200, 300),
+    ("configs/star_circle2.cfg", "qr", 200, 600),
+    ("configs/far_sources_basis.cfg", "direct", 8, 512),
+    ("configs/far_sources_basis.cfg", "svd", 8, 512),
 )
 FITS = (("configs/disk_growth_law", "direct"),)    # (sweep table, method)
 
@@ -83,9 +85,9 @@ def main(argv=None) -> int:
                     failed.append(f"solve {config_dir}/{config.name}")
     basis = out / "basis"
     basis.mkdir(parents=True, exist_ok=True)
-    for method, n, samples in BASIS_DUMPS:
-        stem = f"{Path(BASIS_CONFIG).stem}_{method}_n{n}_s{samples}"
-        args = ["basis", "--config", str(checkout / BASIS_CONFIG), "--method", method]
+    for config, method, n, samples in BASIS_DUMPS:
+        stem = f"{Path(config).stem}_{method}_n{n}_s{samples}"
+        args = ["basis", "--config", str(checkout / config), "--method", method]
         args += ["--n", str(n), "--samples", str(samples), "--out", str(basis / f"{stem}.csv")]
         done = _run(checkout, args)
         if done.returncode:

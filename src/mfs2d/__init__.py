@@ -5,7 +5,7 @@ trigonometric basis, SVD/Arnoldi well-conditioned basis) plus the geometry
 catalog, expansion machinery, and a benchmark harness with a CLI.
 """
 
-from .arnoldi import ArnoldiFactor, CouplingMatrix, arnoldi_vandermonde, coupling_matrix, evaluate_basis
+from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .bench import (
     CSV_HEADER,
     ExperimentConfig,
@@ -50,13 +50,10 @@ from .geometry import (
     BoundaryCurve,
     Circle,
     CollocationSet,
-    ConstraintCheck,
     OffsetCurve,
     ParametricCurve,
-    Point2,
     PolarCurve,
     SourceSet,
-    boundary_point,
     check_source_constraint,
     curve_names,
     make_curve,
@@ -72,7 +69,6 @@ from .solvers import (
     SolveRecord,
     SvdBasis,
     assemble_direct,
-    assemble_qr,
     assemble_qr_system,
     assemble_svd_system,
     boundary_error,

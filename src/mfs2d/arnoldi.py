@@ -31,32 +31,9 @@ CHUNK = 256
 class ArnoldiFactor:
     """Arnoldi data for one node set: Q (M, n+1), H (n+1, n), R (n+1, n+1)."""
 
-    nodes: np.ndarray
     q: np.ndarray
     h: np.ndarray
     r: np.ndarray
-    degree: int
-
-    @property
-    def node_count(self) -> int:
-        return self.nodes.shape[0]
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Square matrix expressing monomial features in the stacked Arnoldi frame.
-
-    For factors of degree p on nodes z and w = conj(z), the feature vector
-    [1, z..z^p, w..w^p] equals `matrix` (shape (2p+1, 2p+1)) applied to the
-    stacked basis values [q_z0..q_zp, q_w1..q_wp].  Both Arnoldi runs start
-    from the same constant vector, so the w-side constant column duplicates
-    the z-side one; the frame keeps a single copy and the w-monomial rows
-    route their constant coordinate through it.  That makes the frame full
-    column rank and `matrix` invertible (block triangular with nonsingular
-    triangular diagonal blocks).
-    """
-
-    matrix: np.ndarray
     degree: int
 
 
@@ -110,7 +87,7 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
     r[0, 0] = np.sqrt(m)
     for k in range(n):
         r[: k + 2, k + 1] = h[: k + 2, : k + 1] @ r[: k + 1, k]
-    return ArnoldiFactor(nodes=x, q=q, h=h, r=r, degree=n)
+    return ArnoldiFactor(q=q, h=h, r=r, degree=n)
 
 
 def evaluate_basis(factor: ArnoldiFactor, new_nodes) -> np.ndarray:
@@ -130,7 +107,7 @@ def evaluate_basis(factor: ArnoldiFactor, new_nodes) -> np.ndarray:
     if zero.size:
         raise ValueError(f"zero Hessenberg subdiagonal at step {zero[0]}")
     out = np.empty((x.shape[0], n + 1), dtype=complex)
-    out[:, 0] = 1.0 / np.sqrt(factor.node_count)
+    out[:, 0] = 1.0 / np.sqrt(factor.q.shape[0])
     for lo in range(0, x.shape[0], CHUNK):
         xb = x[lo : lo + CHUNK]
         blk = out[lo : lo + CHUNK]
@@ -140,8 +117,18 @@ def evaluate_basis(factor: ArnoldiFactor, new_nodes) -> np.ndarray:
     return out
 
 
-def coupling_matrix(z_factor: ArnoldiFactor, w_factor: ArnoldiFactor) -> CouplingMatrix:
-    """Assemble the feature-to-stacked-frame coupling for conjugate node blocks."""
+def coupling_matrix(z_factor: ArnoldiFactor, w_factor: ArnoldiFactor) -> np.ndarray:
+    """Square matrix expressing monomial features in the stacked Arnoldi frame.
+
+    For factors of degree p on nodes z and w = conj(z), the feature vector
+    [1, z..z^p, w..w^p] equals this (2p+1, 2p+1) matrix applied to the
+    stacked basis values [q_z0..q_zp, q_w1..q_wp].  Both Arnoldi runs start
+    from the same constant vector, so the w-side constant column duplicates
+    the z-side one; the frame keeps a single copy and the w-monomial rows
+    route their constant coordinate through it.  That makes the frame full
+    column rank and the matrix invertible (block triangular with nonsingular
+    triangular diagonal blocks).
+    """
     p = z_factor.degree
     if w_factor.degree != p:
         raise ValueError("z and w factors must have equal degree")
@@ -150,4 +137,4 @@ def coupling_matrix(z_factor: ArnoldiFactor, w_factor: ArnoldiFactor) -> Couplin
     if p > 0:
         k[p + 1 :, 0] = w_factor.r[0, 1:]
         k[p + 1 :, p + 1 :] = w_factor.r[1:, 1:].T
-    return CouplingMatrix(matrix=k, degree=p)
+    return k

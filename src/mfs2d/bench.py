@@ -238,16 +238,8 @@ def _workspace(cfg: ExperimentConfig) -> _Workspace:
     )
 
 
-def _sample(cfg: ExperimentConfig, ws: _Workspace, n: int):
-    """Collocation points, sources and separation margin of an N-source cell."""
-    colloc = sample_collocation(ws.domain, cfg.m_rule * n)
-    sources = sample_sources(ws.source, n)
-    return colloc, sources, check_source_constraint(sources, ws.boundary_radius).margin
-
-
-def _check_size(cfg: ExperimentConfig, colloc, width: int, itemsize: int = 8):
-    """Refuse a cell whose largest feature matrix would exceed FEATURE_BYTES_MAX."""
-    rows = max(cfg.error_samples, colloc.count)
+def _check_size(rows: int, width: int, itemsize: int = 8):
+    """Refuse a rows x width feature matrix that would exceed FEATURE_BYTES_MAX."""
     if rows * width * itemsize > FEATURE_BYTES_MAX:
         raise SizeLimitError(
             f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.3g} GiB, "
@@ -255,12 +247,24 @@ def _check_size(cfg: ExperimentConfig, colloc, width: int, itemsize: int = 8):
         )
 
 
+def _sample(cfg: ExperimentConfig, ws: _Workspace, n: int):
+    """Collocation points, sources and separation margin of an N-source cell.
+
+    Every backend's feature matrix is at least N wide, so a cell whose N
+    kernels alone are over budget is refused before anything is sampled.
+    """
+    _check_size(max(cfg.error_samples, cfg.m_rule * n), n)
+    colloc = sample_collocation(ws.domain, cfg.m_rule * n)
+    sources = sample_sources(ws.source, n)
+    return colloc, sources, check_source_constraint(sources, ws.boundary_radius)
+
+
 def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, margin: float):
     """Evaluation context and expansion degree (0 for direct) of one cell."""
     n = sources.count
+    rows = max(cfg.error_samples, colloc.count)
     if method == "direct":
-        _check_size(cfg, colloc, n)
-        return sources, 0
+        return sources, 0    # _sample checked the rows x N kernel matrix
     if method == "svd":
         if margin <= 0.0:
             raise ConstraintViolationError(margin)
@@ -271,12 +275,12 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
                 f"carry {n} svd basis functions (need 2*floor((M-1)/2)+1 >= N)"
             )
         setup = setup_expansion(sources, ws.boundary_radius, n, cfg.tol, max_degree=(m - 1) // 2)
-        _check_size(cfg, colloc, 2 * setup.degree + 1, itemsize=16)
+        _check_size(rows, 2 * setup.degree + 1, itemsize=16)
         return build_svd_basis(setup, colloc), setup.degree
     if method == "qr":
         ratio = float(np.max(ws.boundary_radius / sources.radii))
         p = expansion_degree(truncation_order(ratio, cfg.tol), n + 1)    # qr needs 2p+1 > n
-        _check_size(cfg, colloc, 2 * p + 1)
+        _check_size(rows, 2 * p + 1)
         return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
@@ -401,10 +405,16 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     trace normalized to unit max-abs.  svd (SvdBasis context): two files,
     '<stem>_real<ext>' and '<stem>_imag<ext>', raw values.  qr (QrBasis
     context): one file, raw values.  Returns the list of paths written.
-    Raises DegenerateSystemError when a direct trace is too small to normalize.
+    Raises SizeLimitError, before sampling, when the count x width feature
+    matrix is over FEATURE_BYTES_MAX, and DegenerateSystemError when a direct
+    trace is too small to normalize.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
+    if isinstance(context, SourceSet):
+        _check_size(count, context.count)
+    else:
+        _check_size(count, 2 * context.degree + 1, 16 if isinstance(context, SvdBasis) else 8)
     grid = sample_collocation(curve, count)
     traces = basis_values(context, grid.points)
     path = str(path)

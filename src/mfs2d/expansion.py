@@ -25,14 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintViolationError, SingularityError
-from .geometry import Point2, SourceSet
+from .geometry import SourceSet
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 
 def _coords(p) -> np.ndarray:
-    if isinstance(p, Point2):
-        return p.as_array()
     a = np.asarray(p, dtype=float)
     if a.shape != (2,):
         raise ValueError("expected a point with two coordinates")

@@ -14,7 +14,7 @@ parametric ones) but no global self-intersection test.
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,29 +32,6 @@ def wrap_angle(a):
 def polar_coordinates(points):
     """Radii and angles in [0, 2*pi) of an (n, 2) point array."""
     return np.hypot(points[:, 0], points[:, 1]), wrap_angle(np.arctan2(points[:, 1], points[:, 0]))
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane with derived polar coordinates."""
-
-    x: float
-    y: float
-
-    @property
-    def r(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    @property
-    def theta(self) -> float:
-        """Polar angle mapped into [0, 2*pi)."""
-        a = math.atan2(self.y, self.x)
-        if a < 0.0:
-            a += TWO_PI
-        return 0.0 if a >= TWO_PI else a
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
 
 
 def _as_param_array(t):
@@ -366,11 +343,11 @@ class CollocationSet:
 
     @property
     def radii(self) -> np.ndarray:
-        return np.hypot(self.points[:, 0], self.points[:, 1])
+        return polar_coordinates(self.points)[0]
 
     @property
     def angles(self) -> np.ndarray:
-        return wrap_angle(np.arctan2(self.points[:, 1], self.points[:, 0]))
+        return polar_coordinates(self.points)[1]
 
 
 @dataclass(frozen=True)
@@ -385,17 +362,6 @@ class SourceSet:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-
-class ConstraintCheck(NamedTuple):
-    ok: bool
-    margin: float
-
-
-def boundary_point(curve: BoundaryCurve, t: float) -> Point2:
-    """Single curve point at parameter t."""
-    p = curve.point(float(t))
-    return Point2(float(p[0]), float(p[1]))
 
 
 def outward_normal(curve: BoundaryCurve, t):
@@ -482,7 +448,7 @@ def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
     return max(float(norms[k]), fc, fd)
 
 
-def check_source_constraint(sources: SourceSet, boundary_radius: float) -> ConstraintCheck:
+def check_source_constraint(sources: SourceSet, boundary_radius: float) -> float:
     """Separation margin 1 - max_j (boundary_radius / rho_j).
 
     Positive margin means every source lies outside the closed origin-centered
@@ -491,5 +457,4 @@ def check_source_constraint(sources: SourceSet, boundary_radius: float) -> Const
     """
     if boundary_radius <= 0.0:
         raise ValueError("boundary_radius must be positive")
-    margin = 1.0 - float(np.max(boundary_radius / sources.radii))
-    return ConstraintCheck(ok=margin > 0.0, margin=margin)
+    return 1.0 - float(np.max(boundary_radius / sources.radii))

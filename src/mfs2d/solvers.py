@@ -34,14 +34,7 @@ from . import linalg
 from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, RankDeficiencyError, SingularityError
 from .expansion import ExpansionSetup
-from .geometry import (
-    TWO_PI,
-    BoundaryCurve,
-    CollocationSet,
-    Point2,
-    SourceSet,
-    polar_coordinates,
-)
+from .geometry import TWO_PI, BoundaryCurve, CollocationSet, SourceSet, polar_coordinates
 
 _COINCIDENCE_RTOL = 1e-14
 
@@ -60,9 +53,6 @@ class BoundaryData:
     def values(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self._fn(pts[:, 0], pts[:, 1])
-
-    def __call__(self, x, y):
-        return self._fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def __repr__(self):
         return f"<BoundaryData {self.name}>"
@@ -173,7 +163,6 @@ class QrBasis:
     """
 
     transform: np.ndarray    # (N, 2p+1) real
-    source_radius: float
     scale_radius: float
     count: int
     degree: int
@@ -260,8 +249,7 @@ def build_svd_basis(
     z = (colloc.radii / setup.scale_radius) * np.exp(1j * colloc.angles)
     z_factor = arnoldi_vandermonde(z, p)
     w_factor = arnoldi_vandermonde(np.conj(z), p)
-    coupling = coupling_matrix(z_factor, w_factor)
-    reduced = setup.matrix @ coupling.matrix    # (N, 2p+1)
+    reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1)
     _, s, vh = linalg.svd_thin(reduced)
     if s[-1] <= rank_tol * s[0]:
         raise RankDeficiencyError(s[max(0, n - 3) :].tolist())
@@ -360,7 +348,6 @@ def build_qr_basis(sources: SourceSet, degree: int, scale_radius: float = 1.0) -
     scale = d[None, :] / d[:n, None]
     return QrBasis(
         transform=scale * r,
-        source_radius=radius,
         scale_radius=scale_radius,
         count=n,
         degree=p,
@@ -372,32 +359,12 @@ def assemble_qr_system(basis: QrBasis, colloc: CollocationSet) -> np.ndarray:
     return basis_values(basis, colloc.points)
 
 
-def assemble_qr(
-    sources: SourceSet, colloc: CollocationSet, degree: int, scale_radius: float = 1.0
-) -> np.ndarray:
-    """One-shot qr-backend assembly (build_qr_basis + assemble_qr_system).
-
-    `scale_radius` is the maximum boundary radius R: the system uses the
-    monomials in r/R and the Hadamard scale (R/rho)^m / m.
-    """
-    return assemble_qr_system(build_qr_basis(sources, degree, scale_radius), colloc)
-
-
 def solve_qr(basis: QrBasis, a: np.ndarray, g_values) -> SolveRecord:
     """Least-squares solve of the (real) qr collocation system."""
     return _solve("qr", a, g_values, basis)
 
 
 # --- evaluation and error measurement ---------------------------------------
-
-
-def _as_points(points) -> np.ndarray:
-    if isinstance(points, Point2):
-        return points.as_array()[None, :]
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
 
 
 def _features(context, points: np.ndarray):
@@ -436,15 +403,13 @@ def evaluate_solution(record: SolveRecord, context, points):
     """Real part of the approximation at the given point(s).
 
     `context` is the sources (direct) or basis (qr/svd); None falls back to
-    the one stored on the record.  Accepts a Point2, a pair, or an (n, 2)
-    array; returns a scalar for a single point.
+    the one stored on the record.  Accepts a pair or an (n, 2) array;
+    returns a scalar for a single point.
     """
     ctx = record.context if context is None else context
-    pts = _as_points(points)
-    vals = _evaluate_complex(record, ctx, pts).real
-    if isinstance(points, Point2) or np.asarray(points).ndim == 1:
-        return float(vals[0])
-    return vals
+    pts = np.asarray(points, dtype=float)
+    vals = _evaluate_complex(record, ctx, np.atleast_2d(pts)).real
+    return float(vals[0]) if pts.ndim == 1 else vals
 
 
 def boundary_error(

@@ -13,8 +13,10 @@ from mfs2d import (
     ConfigError,
     ExperimentConfig,
     InsufficientDataError,
+    NumericalError,
     SweepRow,
     SweepTable,
+    curve_names,
     emit_basis_samples,
     fit_growth_rate,
     make_curve,
@@ -420,3 +422,32 @@ def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
     cfg = config(domain="star_kite", methods=("qr",), n_values=(n,))
     basis, _ = build_method_context(cfg, "qr", n)
     assert basis.degree == p and 2 * p + 1 > n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    domain=st.sampled_from(curve_names()),
+    radius=st.floats(0.1, 10.0),
+    cx=st.floats(-3.0, 3.0),
+    cy=st.floats(-3.0, 3.0),
+    method=st.sampled_from(["direct", "qr", "svd"]),
+    n=st.integers(1, 40),
+    m_rule=st.integers(1, 3),
+    error_samples=st.integers(2, 64),
+)
+def test_every_cell_ends_as_a_row_or_a_typed_error(
+    domain, radius, cx, cy, method, n, m_rule, error_samples
+):
+    cfg = config(
+        domain=domain,
+        methods=(method,),
+        n_values=(n,),
+        source_params={"radius": radius, "cx": cx, "cy": cy},
+        m_rule=m_rule,
+        error_samples=error_samples,
+    )
+    try:
+        row, _ = run_single(cfg, method, n)
+    except (ConfigError, NumericalError):
+        return
+    assert (row.method, row.n, row.m) == (method, n, m_rule * n)

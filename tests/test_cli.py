@@ -303,3 +303,23 @@ class TestSizeGuard:
         assert [ln.split(",")[:2] for ln in lines[1:]] == [["direct", "10"]]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: qr N=10: 10001 x ")
+
+    DISK = str(pathlib.Path(__file__).parent.parent / "configs" / "disk_growth_law.cfg")
+
+    def test_huge_n_is_refused_before_sampling(self, capsys):
+        # 2e7 collocation points x 1e7 kernels; sampling the points alone needs 320 MB
+        rc, peak = self.traced_main(["solve", "--config", self.DISK, "--n", "10000000"])
+        assert rc == 3
+        assert peak < 64 * 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 20000000 x 10000000 feature matrix")
+
+    def test_huge_basis_samples_are_refused_before_sampling(self, tmp_path, capsys):
+        # 2e7 samples x 8 kernels x 8 bytes = 1.19 GiB
+        out = tmp_path / "basis.csv"
+        argv = ["basis", "--config", self.DISK, "--n", "8", "--samples", "20000000"]
+        rc, peak = self.traced_main(argv + ["--out", str(out)])
+        assert rc == 3
+        assert peak < 64 * 2**20
+        assert capsys.readouterr().err.startswith("numerical failure: 20000000 x 8 feature matrix")
+        assert not out.exists()

@@ -10,9 +10,7 @@ from mfs2d import (
     Circle,
     ConfigError,
     DegenerateCurveError,
-    Point2,
     PolarCurve,
-    boundary_point,
     check_source_constraint,
     curve_names,
     make_curve,
@@ -21,7 +19,7 @@ from mfs2d import (
     sample_collocation,
     sample_sources,
 )
-from mfs2d.geometry import SourceSet, _uniform_params
+from mfs2d.geometry import SourceSet, _uniform_params, polar_coordinates
 
 ALL_NAMES = ["circle", "ellipse", "star_kite", "gamma_blob", "osc_r1", "osc_art", "eta1", "eta2"]
 
@@ -36,20 +34,20 @@ def fd_normal(curve, t, h=1e-6):
 
 class TestBoundaryPoint:
     def test_circle_radius_two(self):
-        p = boundary_point(make_curve("circle", radius=2.0), 0.0)
-        assert (p.x, p.y) == (2.0, 0.0)
+        p = make_curve("circle", radius=2.0).point(0.0)
+        assert (p[0], p[1]) == (2.0, 0.0)
 
     def test_eta2_at_zero(self):
-        p = boundary_point(make_curve("eta2"), 0.0)
-        assert p.x == pytest.approx(1.0, abs=1e-15)
-        assert p.y == pytest.approx(1.0 / 6.0, abs=1e-15)
+        p = make_curve("eta2").point(0.0)
+        assert p[0] == pytest.approx(1.0, abs=1e-15)
+        assert p[1] == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_star_kite_at_zero_high_precision(self):
         # independent arbitrary-precision evaluation of the radial formula
         expected = float((mpmath.cos(0) + mpmath.sqrt(mpmath.mpf(18) / 5 - mpmath.sin(0) ** 2)) ** (mpmath.mpf(1) / 3))
-        p = boundary_point(make_curve("star_kite"), 0.0)
-        assert p.x == pytest.approx(expected, rel=1e-15)
-        assert p.y == 0.0
+        p = make_curve("star_kite").point(0.0)
+        assert p[0] == pytest.approx(expected, rel=1e-15)
+        assert p[1] == 0.0
 
     def test_unknown_name_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -194,21 +192,19 @@ class TestMaxBoundaryRadius:
 class TestSourceConstraint:
     def test_disk_sources_outside(self):
         ss = sample_sources(make_curve("circle", radius=1.1), 16)
-        check = check_source_constraint(ss, 1.0)
-        assert check.ok
-        assert check.margin == pytest.approx(1 - 1 / 1.1, abs=1e-12)
+        assert check_source_constraint(ss, 1.0) == pytest.approx(1 - 1 / 1.1, abs=1e-12)
 
     def test_disk_sources_inside(self):
         ss = sample_sources(make_curve("circle", radius=0.9), 16)
-        assert not check_source_constraint(ss, 1.0).ok
+        assert check_source_constraint(ss, 1.0) <= 0.0
 
     def test_eta2_with_ellipse_sources(self):
         # margin computed directly from the sampled source radii
         ss = sample_sources(make_curve("ellipse"), 40)
         r = max_boundary_radius(make_curve("eta2"))
-        check = check_source_constraint(ss, r)
-        assert check.margin == pytest.approx(1 - r / np.min(ss.radii), abs=1e-14)
-        assert check.ok
+        margin = check_source_constraint(ss, r)
+        assert margin == pytest.approx(1 - r / np.min(ss.radii), abs=1e-14)
+        assert margin > 0.0
 
     @given(
         radius=st.floats(min_value=1.05, max_value=50.0),
@@ -225,9 +221,9 @@ class TestSourceConstraint:
         )
         before = check_source_constraint(ss, 1.0)
         after = check_source_constraint(scaled, 1.0)
-        assert after.margin >= before.margin - 1e-15
-        if before.ok:
-            assert after.ok
+        assert after >= before - 1e-15
+        if before > 0.0:
+            assert after > 0.0
 
 
 class TestCurveProperties:
@@ -265,18 +261,13 @@ class TestCurveProperties:
         assert set(ALL_NAMES) == set(curve_names())
 
 
-class TestPoint2:
-    def test_polar_form(self):
-        p = Point2(0.0, -2.0)
-        assert p.r == pytest.approx(2.0)
-        assert p.theta == pytest.approx(3 * math.pi / 2)
-
+class TestPolarCoordinates:
     @given(st.floats(-10, 10), st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_theta_range(self, x, y):
-        p = Point2(x, y)
-        assert 0.0 <= p.theta < 2 * math.pi + 1e-12
-        assert p.r == pytest.approx(math.hypot(x, y))
+        r, theta = polar_coordinates(np.array([[x, y]]))
+        assert 0.0 <= theta[0] < 2 * math.pi
+        assert r[0] == pytest.approx(math.hypot(x, y))
 
 
 def test_uniform_params_exclude_zero_include_two_pi():
