@@ -1,6 +1,7 @@
 """Write every sweep, solve, basis and fit output of a checkout, for byte-for-byte comparison.
 
     python scripts/sweep_outputs.py OUTDIR [CHECKOUT]
+    python scripts/sweep_outputs.py compare OUTDIR_A OUTDIR_B
 
 CHECKOUT (default: the repository holding this script) is the tree whose
 `src/` is imported and whose configs are run.  For each `configs/*.cfg` and
@@ -15,13 +16,23 @@ listed in BASIS_DUMPS to `OUTDIR/basis/<config>_<method>_n<N>_s<samples>.csv`
 the stdout of `mfs2d fit` on each sweep table listed in FITS to
 `OUTDIR/fit/<name>_<method>.csv`.  Run it once per checkout (e.g. a
 `git clone` of the parent commit) and compare with
-`diff -r OUTDIR_A OUTDIR_B`.
+`diff -r OUTDIR_A OUTDIR_B`, or with the `compare` mode.
 
-BLAS runs on one thread.  The exit status is 1 when any command exited
-non-zero (its stderr is still written).
+`compare` reports the files that are byte-identical by count and, for each
+CSV that differs, one line per (file, method, column) that differs: the
+largest absolute difference, the largest difference relative to the A value,
+and the largest absolute difference over the column's largest |A| value.
+Rows are paired in order; tables without a `method` column (basis dumps,
+fits) report `-` as the method.  Files present on one side only, or that
+differ in shape or in a non-numeric field, are reported as such.  The exit
+status is 1 when anything differs.
+
+When writing, BLAS runs on one thread, and the exit status is 1 when any
+command exited non-zero (its stderr is still written).
 """
 
 import configparser
+import math
 import os
 import subprocess
 import sys
@@ -59,8 +70,73 @@ def _timing_off(config: Path, dest: Path) -> Path:
     return dest
 
 
+def _read_csv(path: Path):
+    """Header and rows of a CSV file, or None when it is not a table of numbers and names."""
+    lines = path.read_text().splitlines()
+    if not lines or "," not in lines[0]:
+        return None
+    header = lines[0].split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    return (header, rows) if all(len(r) == len(header) for r in rows) else None
+
+
+def _compare_tables(name: str, a, b) -> list:
+    """Report lines for two tables with the same header, paired row by row."""
+    (header, rows_a), (header_b, rows_b) = a, b
+    if header != header_b or len(rows_a) != len(rows_b):
+        return [f"{name}: header or row count differs"]
+    method = header.index("method") if "method" in header else None
+    stats = {}    # (method, column) -> [max abs, max rel, column max |A|]
+    for ra, rb in zip(rows_a, rows_b):
+        key = ra[method] if method is not None else "-"
+        for col, va, vb in zip(header, ra, rb):
+            try:
+                fa, fb = float(va), float(vb)
+            except ValueError:
+                if va != vb:
+                    return [f"{name}: non-numeric field {col} differs: {va!r} vs {vb!r}"]
+                continue
+            entry = stats.setdefault((key, col), [0.0, 0.0, 0.0])
+            entry[2] = max(entry[2], abs(fa))
+            diff = 0.0 if va == vb else abs(fa - fb)
+            if diff:
+                rel = diff / abs(fa) if fa else math.inf
+                if math.isnan(diff):    # nan on one side only
+                    diff = rel = math.inf
+                entry[0] = max(entry[0], diff)
+                entry[1] = max(entry[1], rel)
+    return [
+        f"{name}\t{key}\t{col}\tmax_abs={d:.3g}\tmax_rel={r:.3g}\tmax_abs/col_max={d / m if m else math.inf:.3g}"
+        for (key, col), (d, r, m) in stats.items()
+        if d > 0.0
+    ]
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    names = {p.relative_to(d).as_posix() for d in (dir_a, dir_b) for p in d.rglob("*") if p.is_file()}
+    same, report = 0, []
+    for name in sorted(names):
+        pa, pb = dir_a / name, dir_b / name
+        if not (pa.is_file() and pb.is_file()):
+            report.append(f"{name}: only in {dir_a if pa.is_file() else dir_b}")
+        elif pa.read_bytes() == pb.read_bytes():
+            same += 1
+        else:
+            a, b = _read_csv(pa), _read_csv(pb)
+            if a is None or b is None:
+                report.append(f"{name}: differs (not a table)")
+            else:
+                report.extend(_compare_tables(name, a, b) or [f"{name}: differs in formatting only"])
+    print(f"{same} of {len(names)} files byte-identical")
+    for line in report:
+        print(line)
+    return 1 if report else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) not in (1, 2):
         sys.stderr.write(__doc__)
         return 2

@@ -13,7 +13,9 @@ The upper-triangular coordinates R of the monomials in the Q basis follow
 from the same recurrence (column k+1 of the Vandermonde matrix is
 diag(nodes) times column k), so R never touches the Vandermonde matrix
 either.  The basis extends to arbitrary new points by replaying the
-Hessenberg recurrence, one cache-sized block of points at a time.
+Hessenberg recurrence, one cache-sized block of points at a time; each block
+is contracted with a coefficient block at once, so evaluating an expansion
+in the basis never stores the (n_points, n+1) basis matrix.
 """
 
 from dataclasses import dataclass
@@ -22,9 +24,9 @@ import numpy as np
 
 from .errors import DegenerateNodesError
 
-# Points per block in evaluate_basis: a block of the output (CHUNK rows by
-# degree + 1 complex columns) stays in cache while the recurrence sweeps it.
-CHUNK = 256
+# Points per block and recurrence steps per history product in evaluate_basis.
+CHUNK = 1024
+DEGREE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -90,30 +92,54 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
     return ArnoldiFactor(q=q, h=h, r=r, degree=n)
 
 
-def evaluate_basis(factor: ArnoldiFactor, new_nodes) -> np.ndarray:
-    """Evaluate the orthonormal polynomial basis at new points.
+def evaluate_basis(factor: ArnoldiFactor, new_nodes, coef) -> np.ndarray:
+    """Orthonormal polynomial basis at new points times a coefficient block.
 
-    Replays the Hessenberg recurrence with the stored coefficients, starting
-    from the same constant 1/sqrt(M) used at construction, so feeding the
-    original nodes back reproduces Q.  Returns shape (n_points, degree + 1).
-    Each row depends only on its own point, so the points are processed in
-    blocks of CHUNK rows, each written in place into its slice of the output.
+    Returns Q(new_nodes) @ coef for coef of shape (degree + 1,) or
+    (degree + 1, k); the (n_points, degree + 1) basis itself is never stored
+    (pass the identity to get it).  Q is replayed from the Hessenberg
+    recurrence, starting from the constant 1/sqrt(M) used at construction,
+    so the original nodes give back the factor's own Q.
+
+    The points go CHUNK at a time through one (degree + 1, CHUNK) buffer,
+    basis-major, so each q_k is a contiguous row.  In each block of
+    DEGREE_BLOCK steps the history h[:K+1, K:K+b] is applied to the rows
+    already known as one matrix product; only the in-block recurrence runs
+    step by step.  Each point block is contracted with coef once complete.
+    The buffers are allocated once per call, not once per block: a large
+    temporary made fresh per block can be a fresh mmap, page-faulted anew.
     """
     x = np.asarray(new_nodes, dtype=complex).ravel()
+    coef = np.asarray(coef)
     n = factor.degree
     h = factor.h
     sub = np.diagonal(h, -1)
     zero = np.flatnonzero(sub == 0.0)
     if zero.size:
         raise ValueError(f"zero Hessenberg subdiagonal at step {zero[0]}")
-    out = np.empty((x.shape[0], n + 1), dtype=complex)
-    out[:, 0] = 1.0 / np.sqrt(factor.q.shape[0])
+    if coef.shape[0] != n + 1:
+        raise ValueError(f"coefficient block has {coef.shape[0]} rows, basis has {n + 1}")
+    out = np.empty(x.shape + coef.shape[1:], dtype=np.result_type(coef, complex))
+    width = min(CHUNK, x.shape[0])
+    buf = np.empty((n + 1, width), dtype=complex)
+    hist = np.empty((min(DEGREE_BLOCK, n), width), dtype=complex)
     for lo in range(0, x.shape[0], CHUNK):
         xb = x[lo : lo + CHUNK]
-        blk = out[lo : lo + CHUNK]
-        for k in range(n):
-            v = xb * blk[:, k] - blk[:, : k + 1] @ h[: k + 1, k]
-            blk[:, k + 1] = v / sub[k]
+        q = buf[:, : xb.shape[0]]
+        q[0] = 1.0 / np.sqrt(factor.q.shape[0])
+        for kb in range(0, n, DEGREE_BLOCK):
+            b = min(DEGREE_BLOCK, n - kb)
+            known = hist[:b, : xb.shape[0]]
+            np.matmul(h[: kb + 1, kb : kb + b].T, q[: kb + 1], out=known)
+            for k in range(kb, kb + b):
+                acc = known[k - kb]
+                if k > kb:
+                    acc += h[kb + 1 : k + 1, k] @ q[kb + 1 : k + 1]
+                nxt = q[k + 1]
+                np.multiply(xb, q[k], out=nxt)
+                nxt -= acc
+                nxt /= sub[k]
+        np.matmul(q.T, coef, out=out[lo : lo + xb.shape[0]])
     return out
 
 

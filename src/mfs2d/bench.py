@@ -242,7 +242,7 @@ def _check_size(rows: int, width: int, itemsize: int = 8):
     """Refuse a rows x width feature matrix that would exceed FEATURE_BYTES_MAX."""
     if rows * width * itemsize > FEATURE_BYTES_MAX:
         raise SizeLimitError(
-            f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.3g} GiB, "
+            f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.6g} GiB, "
             f"over the {FEATURE_BYTES_MAX / 2**30:g} GiB budget"
         )
 
@@ -279,7 +279,8 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
         return build_svd_basis(setup, colloc), setup.degree
     if method == "qr":
         ratio = float(np.max(ws.boundary_radius / sources.radii))
-        p = expansion_degree(truncation_order(ratio, cfg.tol), n + 1)    # qr needs 2p+1 > n
+        cap = (FEATURE_BYTES_MAX // (8 * rows) - 1) // 2    # largest p whose features fit
+        p = expansion_degree(truncation_order(ratio, cfg.tol, cap), n + 1)    # qr needs 2p+1 > n
         _check_size(rows, 2 * p + 1)
         return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")

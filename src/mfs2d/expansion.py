@@ -87,15 +87,35 @@ def hurwitz_lerch_phi1(z: float, a: int) -> float:
 TAIL_BLOCK = 4096    # terms per step of the tail walk in truncation_order
 
 
-def truncation_order(ratio: float, tol: float) -> int:
-    """Smallest p0 >= 0 with ratio^(p0+1) * Phi(ratio, 1, p0+1) <= tol.
+def kernel_tail(ratio: float, order: int) -> float:
+    """Kernel tail sum_{k>order} q^k/k = -log(1-q) - sum_{k<=order} q^k/k.
+
+    The head has `order` terms, summed TAIL_BLOCK at a time, so the cost
+    does not grow as q -> 1.  The subtraction loses about eps * |log(1-q)|
+    absolutely: accurate where the tail is far above that, as when a degree
+    cap binds.
+    """
+    head = []
+    for lo in range(1, int(order) + 1, TAIL_BLOCK):
+        ks = np.arange(lo, min(lo + TAIL_BLOCK, int(order) + 1), dtype=float)
+        head.append(math.fsum((ratio**ks / ks).tolist()))
+    return -math.log1p(-ratio) - math.fsum(head)
+
+
+def truncation_order(ratio: float, tol: float, cap: Optional[int] = None) -> int:
+    """Smallest p0 >= 0 with ratio^(p0+1) * Phi(ratio, 1, p0+1) <= tol, or cap + 1.
 
     `ratio` is q = max_j R/rho_j; the left side is the kernel tail
-    sum_{k>p0} q^k/k.  The terms are added smallest first (the accurate order
-    for a decreasing series) from the K where q^(K+1)/((K+1)(1-q)) < eps*tol
-    down; the first running sum above tol is tail(k-1), so p0 = k.  Blocks of
-    TAIL_BLOCK terms are sequential cumsums from the running tail, so p0 does
-    not depend on the block size.  Work O(K - p0), memory O(TAIL_BLOCK).
+    sum_{k>p0} q^k/k.  The terms are added smallest first (the accurate
+    order for a decreasing series) from the K where
+    q^(K+1)/((K+1)(1-q)) < eps*tol down; the first running sum above tol is
+    tail(k-1), so p0 = k.  Blocks of TAIL_BLOCK terms are sequential cumsums
+    from the running tail, so p0 does not depend on the block size.  Work
+    O(K - p0), memory O(TAIL_BLOCK).  K - p0 grows like 1/(1-q), so when a
+    `cap` below K is given, kernel_tail(q, cap) is checked first: if it is
+    above tol by more than its rounding, p0 > cap and cap + 1 is returned
+    without the walk (the caller's degree cap binds whatever p0 is).  Work
+    is then O(min(K, cap)).
     """
     if not 0.0 < ratio < 1.0:
         raise ConstraintViolationError(
@@ -106,6 +126,10 @@ def truncation_order(ratio: float, tol: float) -> int:
     # q^(K+1) <= eps * tol * (1-q) bounds the left-out tail by eps * tol.
     log_left = math.log(MACHINE_EPS) + math.log(tol) + math.log1p(-ratio)
     k = max(1, math.ceil(log_left / math.log(ratio)) - 1)
+    # p0 <= K, so only a cap below K can bind; then the cap terms are the cheaper sum
+    if cap is not None and cap < k:
+        if kernel_tail(ratio, cap) > tol + 8.0 * MACHINE_EPS * -math.log1p(-ratio):
+            return int(cap) + 1
     tail = 0.0
     while k >= 1:
         ks = np.arange(k, max(k - TAIL_BLOCK, 0), -1, dtype=float)
@@ -237,7 +261,7 @@ def setup_expansion(
     be far above tol (0.36 for ratio 1/1.03 and p = 24).
     """
     ratio = float(np.max(scale_radius / sources.radii))
-    p0 = truncation_order(ratio, tol)
+    p0 = truncation_order(ratio, tol, max_degree)
     p = expansion_degree(p0, n_basis)
     if max_degree is not None and p > max_degree:
         p = int(max_degree)

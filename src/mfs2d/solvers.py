@@ -17,10 +17,12 @@ svd     -- sources anywhere outside the scaled boundary disk; the kernel
            SVD; the rows of the right singular-vector block define a basis
            whose collocation matrix stays O(1)-conditioned at any N.
 
-Every basis is feature rows times a coordinate matrix (_features, the one
+Every basis is feature rows times a coordinate matrix (basis_values, the one
 dispatch on the context): kernels and identity for direct, r/R monomials and
 `transform` for qr, the Arnoldi frame and `basis_coords` for svd.  All three
-evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
+evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body;
+the svd frame rows are replayed and contracted one block of points at a
+time, so they are never stored.
 """
 
 import math
@@ -119,9 +121,10 @@ class SvdBasis:
     stacked Arnoldi frame (z block, then the w block without its duplicated
     constant); the rows are orthonormal.  Because the frame itself is
     uniformly well conditioned on the collocation set, the system matrix
-    conditioning is bounded by the frame's, independent of N.  `rows_at`
-    evaluates the w block as the conjugate of the z block; `w_factor` is
-    kept for `assemble_svd_system`, which stacks the two factors' Q.
+    conditioning is bounded by the frame's, independent of N.  `frame_times`
+    evaluates the frame off the collocation set through one replay of the z
+    factor; `w_factor` is kept for `assemble_svd_system`, which stacks the
+    two factors' Q.
     """
 
     basis_coords: np.ndarray       # (N, 2p+1) rows of the right singular-vector block
@@ -133,22 +136,26 @@ class SvdBasis:
     degree: int
     colloc: CollocationSet = field(repr=False)
 
-    def rows_at(self, radii, angles) -> np.ndarray:
-        """Stacked frame values [q_z0..q_zp, q_w1..q_wp] at points, (n_pts, 2p+1).
+    def frame_times(self, radii, angles, coef) -> np.ndarray:
+        """Stacked frame [q_z0..q_zp, q_w1..q_wp] at points times a (2p+1,) or (2p+1, k) block.
 
-        The Hessenberg recurrence is replayed once, on z: the w factor is
-        built on conj(z) and is bitwise the conjugate of the z factor, so
-        its replay on conj(z) is bitwise the conjugate of the z replay.
+        The frame itself is never formed.  The w factor is built on conj(z)
+        and is bitwise the conjugate of the z factor, so the w block's part
+        is conj(Q_z @ conj(b)): one replay on z carries the block [a | conj b]
+        and the result is y_a + conj(y_b).
         """
         z = (np.asarray(radii, dtype=float) / self.scale_radius) * np.exp(
             1j * np.asarray(angles, dtype=float)
         )
-        ez = evaluate_basis(self.z_factor, z)
         p = self.degree
-        out = np.empty((ez.shape[0], 2 * p + 1), dtype=complex)
-        out[:, : p + 1] = ez
-        np.conj(ez[:, 1:], out=out[:, p + 1 :])
-        return out
+        coef = np.asarray(coef)
+        cols = coef.reshape(2 * p + 1, -1)
+        k = cols.shape[1]
+        block = np.zeros((p + 1, 2 * k), dtype=complex)
+        block[:, :k] = cols[: p + 1]
+        np.conj(cols[p + 1 :], out=block[1:, k:])
+        y = evaluate_basis(self.z_factor, z, block)
+        return (y[:, :k] + np.conj(y[:, k:])).reshape(z.shape + coef.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -367,25 +374,26 @@ def solve_qr(basis: QrBasis, a: np.ndarray, g_values) -> SolveRecord:
 # --- evaluation and error measurement ---------------------------------------
 
 
-def _features(context, points: np.ndarray):
-    """Feature rows at (n, 2) points and the basis coordinates in them (None: identity)."""
+def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
+    """Basis functions of a context at (n, 2) points times a coefficient block.
+
+    `context` is a SourceSet (direct kernels), QrBasis or SvdBasis; coef is
+    (N, k) or (N,) on its basis functions, and None (the identity) gives one
+    column per function.  This is the one dispatch on the context: every
+    basis is feature rows times its coordinates, and the coordinates are
+    applied to coef before the rows are (coefficient-first).
+    """
     if isinstance(context, SourceSet):
-        return _kernel(points, context), None
+        rows = _kernel(points, context)
+        return rows if coef is None else rows @ coef
     if isinstance(context, QrBasis):
         r, th = polar_coordinates(points)
-        return _real_monomials(r / context.scale_radius, th, context.degree), context.transform
+        rows = _real_monomials(r / context.scale_radius, th, context.degree)
+        return rows @ (context.transform.T if coef is None else context.transform.T @ coef)
     if isinstance(context, SvdBasis):
-        return context.rows_at(*polar_coordinates(points)), context.basis_coords
+        block = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
+        return context.frame_times(*polar_coordinates(points), block)
     raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
-
-
-def basis_values(context, points: np.ndarray) -> np.ndarray:
-    """Basis functions of a context at (n, 2) points, one column per function.
-
-    `context` is a SourceSet (direct kernels), QrBasis or SvdBasis.
-    """
-    rows, coords = _features(context, points)
-    return rows if coords is None else rows @ coords.T
 
 
 _CONTEXT_TYPES = {"direct": SourceSet, "qr": QrBasis, "svd": SvdBasis}
@@ -395,8 +403,7 @@ def _evaluate_complex(record: SolveRecord, context, points: np.ndarray) -> np.nd
     kind = _CONTEXT_TYPES.get(record.method)
     if kind is None or not isinstance(context, kind):
         raise ValueError(f"{record.method!r} evaluation cannot use a {type(context).__name__}")
-    rows, coords = _features(context, points)
-    return rows @ (record.coefficients if coords is None else coords.T @ record.coefficients)
+    return basis_values(context, points, record.coefficients)
 
 
 def evaluate_solution(record: SolveRecord, context, points):

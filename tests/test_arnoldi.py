@@ -108,41 +108,74 @@ class TestArnoldiVandermonde:
             arnoldi_vandermonde(np.zeros(5, dtype=complex), 1)
 
 
+def frame(fac, nodes):
+    """The replayed basis itself: evaluate_basis with the identity block."""
+    return evaluate_basis(fac, nodes, np.eye(fac.degree + 1))
+
+
 class TestEvaluateBasis:
     def test_reproduces_q_at_original_nodes(self):
         nodes = star_nodes()
         fac = arnoldi_vandermonde(nodes, 20)
-        out = evaluate_basis(fac, nodes)
+        out = frame(fac, nodes)
         assert np.max(np.abs(out - fac.q)) <= 1e-12
 
     def test_single_node_matches_row(self):
         nodes = star_nodes()
         fac = arnoldi_vandermonde(nodes, 15)
-        out = evaluate_basis(fac, nodes[:1])
+        out = frame(fac, nodes[:1])
         assert np.allclose(out[0], fac.q[0], atol=1e-12)
 
-    @pytest.mark.parametrize("count", [0, 1, arnoldi.CHUNK - 1, arnoldi.CHUNK + 1, 10001])
-    def test_blocked_replay_matches_pointwise(self, count):
-        fac = arnoldi_vandermonde(star_nodes(), 12)
+    @pytest.mark.parametrize(
+        "count, degree",
+        [
+            pytest.param(count, degree, id=f"{count}" if degree == 12 else f"{count}-deg{degree}")
+            # degree 69 spans three degree blocks (32 + 32 + 5 steps)
+            for degree in (12, 2 * arnoldi.DEGREE_BLOCK + 5)
+            for count in (0, 1, arnoldi.CHUNK - 1, arnoldi.CHUNK + 1, 10001)
+        ],
+    )
+    def test_blocked_replay_matches_pointwise(self, count, degree):
+        fac = arnoldi_vandermonde(star_nodes(), degree)
         rng = np.random.default_rng(count)
-        new = rng.uniform(0.2, 1.0, count) * np.exp(1j * rng.uniform(0, 2 * np.pi, count))
-        out = evaluate_basis(fac, new)
-        assert out.shape == (count, 13)
+        # inside the scaled star, where the basis stays O(1) at both degrees
+        domain = make_curve("star_kite")
+        xy = domain.point(rng.uniform(0, 2 * np.pi, count)) / max_boundary_radius(domain)
+        new = rng.uniform(0.2, 1.0, count) * (xy[:, 0] + 1j * xy[:, 1])
+        out = frame(fac, new)
+        assert out.shape == (count, degree + 1)
+        # each point's own recurrence, one step at a time, vectorized over the points
         expected = np.empty_like(out)
-        for i, x in enumerate(new):
-            row = np.empty(13, dtype=complex)
-            row[0] = 1.0 / np.sqrt(fac.q.shape[0])
-            for k in range(12):
-                row[k + 1] = (x * row[k] - row[: k + 1] @ fac.h[: k + 1, k]) / fac.h[k + 1, k]
-            expected[i] = row
+        expected[:, 0] = 1.0 / np.sqrt(fac.q.shape[0])
+        for k in range(degree):
+            step = new * expected[:, k] - expected[:, : k + 1] @ fac.h[: k + 1, k]
+            expected[:, k + 1] = step / fac.h[k + 1, k]
         assert np.allclose(out, expected, rtol=0.0, atol=1e-13)
 
     def test_block_size_does_not_change_the_result(self, monkeypatch):
         fac = arnoldi_vandermonde(star_nodes(), 20)
         new = 0.9 * np.exp(2j * np.pi * np.arange(1001) / 1001)
-        blocked = evaluate_basis(fac, new)
+        blocked = frame(fac, new)
         monkeypatch.setattr(arnoldi, "CHUNK", new.shape[0])
-        assert np.array_equal(blocked, evaluate_basis(fac, new))
+        assert np.array_equal(blocked, frame(fac, new))
+
+    def test_coefficient_block_is_the_frame_product(self):
+        fac = arnoldi_vandermonde(star_nodes(), 2 * arnoldi.DEGREE_BLOCK + 5)
+        rng = np.random.default_rng(3)
+        new = 0.5 * np.exp(2j * np.pi * rng.uniform(size=2 * arnoldi.CHUNK + 7))
+        coef = rng.normal(size=(fac.degree + 1, 3)) + 1j * rng.normal(size=(fac.degree + 1, 3))
+        full = frame(fac, new)
+        block = evaluate_basis(fac, new, coef)
+        vector = evaluate_basis(fac, new, coef[:, 1])
+        scale = np.max(np.abs(full @ coef))
+        assert block.shape == (new.shape[0], 3) and vector.shape == new.shape
+        assert np.max(np.abs(block - full @ coef)) <= 1e-13 * scale
+        assert np.max(np.abs(vector - full @ coef[:, 1])) <= 1e-13 * scale
+
+    def test_coefficient_rows_must_match_the_degree(self):
+        fac = arnoldi_vandermonde(star_nodes(), 6)
+        with pytest.raises(ValueError):
+            evaluate_basis(fac, star_nodes(8), np.ones(6))
 
     def test_zero_subdiagonal_rejected(self):
         import dataclasses
@@ -150,7 +183,7 @@ class TestEvaluateBasis:
         fac = arnoldi_vandermonde(star_nodes(32), 3)
         broken = dataclasses.replace(fac, h=np.zeros_like(fac.h))
         with pytest.raises(ValueError):
-            evaluate_basis(broken, star_nodes(8))
+            frame(broken, star_nodes(8))
 
     def test_polynomial_identity(self):
         # oracle: direct monomial evaluation of the polynomial with random coefficients
@@ -161,7 +194,7 @@ class TestEvaluateBasis:
         coeff = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         new = 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi, 60))
         direct = vander(new, deg) @ coeff
-        via_basis = evaluate_basis(fac, new) @ (fac.r @ coeff)
+        via_basis = evaluate_basis(fac, new, fac.r @ coeff)
         assert np.max(np.abs(direct - via_basis)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 

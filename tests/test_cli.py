@@ -1,6 +1,7 @@
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -323,3 +324,27 @@ class TestSizeGuard:
         assert peak < 64 * 2**20
         assert capsys.readouterr().err.startswith("numerical failure: 20000000 x 8 feature matrix")
         assert not out.exists()
+
+
+class TestSourcesAtTheBoundary:
+    # unit disk, circle sources at radius 1 + delta: q = 1/(1 + delta) -> 1, where
+    # the truncation-order walk takes O(1/delta) terms unless the cap settles it
+    @pytest.mark.parametrize(
+        "method, radius, code",
+        [("svd", "1.0000000000000002", 0), ("svd", "1.0000001", 0), ("qr", "1.0000001", 3)],
+    )
+    def test_ends_in_bounded_time(self, tmp_path, capsys, method, radius, code):
+        path = tmp_path / "near.cfg"
+        path.write_text(
+            CONFIG.replace("radius = 2", f"radius = {radius}")
+            .replace("methods = direct,svd\nN = 6,8", f"methods = {method}\nN = 8")
+        )
+        start = time.perf_counter()
+        rc = main(["solve", "--config", str(path)])
+        assert time.perf_counter() - start < 2.0
+        assert rc == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out.splitlines()[1].startswith("svd,8,16,7,")
+        else:
+            assert err.startswith("numerical failure: 10001 x ")

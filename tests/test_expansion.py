@@ -169,6 +169,55 @@ class TestTruncationOrder:
         assert orders == [47, 22, 1101, 528, 3237, 1554]
 
 
+class TestKernelTail:
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 1 / 1.03, 1 - 1e-7, 1 - 2.0**-52])
+    @pytest.mark.parametrize("order", [0, 1, 7, 250, 5000])
+    def test_closed_form_matches_lerchphi(self, q, order):
+        expected = mpmath.mpf(q) ** (order + 1) * mpmath.lerchphi(q, 1, order + 1)
+        got = expansion.kernel_tail(q, order)
+        # the subtraction is exact to a few eps * |log(1 - q)|
+        assert abs(got - float(expected)) <= 4 * MACHINE_EPS * -math.log1p(-q)
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_independent_of_block_size(self, monkeypatch, block):
+        expected = expansion.kernel_tail(0.999, 9000)
+        monkeypatch.setattr(expansion, "TAIL_BLOCK", block)
+        assert expansion.kernel_tail(0.999, 9000) == expected
+
+
+class TestCappedTruncationOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(1e-6, 0.999),
+        tol=st.sampled_from([MACHINE_EPS, 1e-12, 1e-6, 0.1]),
+        shift=st.integers(-50, 50),
+    )
+    def test_cap_changes_nothing_below_it(self, q, tol, shift):
+        p0 = truncation_order(q, tol)
+        cap = max(0, p0 + shift)
+        capped = truncation_order(q, tol, cap)
+        if p0 <= cap:
+            assert capped == p0
+        else:    # p0 when walked, cap + 1 when the closed-form tail settled it
+            assert capped in (p0, cap + 1)
+
+    @pytest.mark.parametrize("q", [1 - 1e-7, 1 - 1e-10, 1 - 2.0**-52])
+    def test_binding_cap_returns_without_the_walk(self, q):
+        # the uncapped walk would take O(1 / (1 - q)) terms
+        assert truncation_order(q, MACHINE_EPS, 7) == 8
+        assert truncation_order(q, MACHINE_EPS, 6710) == 6711
+
+    def test_setup_records_the_binding_cap(self):
+        sources = SourceSet(
+            points=np.array([[1.0 + 1e-9, 0.0]]),
+            params=np.zeros(1),
+            radii=np.array([1.0 + 1e-9]),
+            angles=np.zeros(1),
+        )
+        setup = setup_expansion(sources, 1.0, 1, max_degree=7)
+        assert setup.degree == 7 and setup.base_order == 8
+
+
 class TestExpansionDegree:
     @pytest.mark.parametrize(
         "p0,n,expected", [(40, 100, 50), (80, 100, 80), (0, 1, 0), (3, 4, 3), (0, 5, 2)]

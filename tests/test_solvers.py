@@ -193,8 +193,7 @@ class TestSvdBasis:
         def phi1(x, y):
             r = np.hypot(x, y)
             th = np.arctan2(y, x) % (2 * math.pi)
-            rows = basis.rows_at(np.atleast_1d(r), np.atleast_1d(th))
-            return (rows @ basis.basis_coords[0]).real
+            return basis.frame_times(np.atleast_1d(r), np.atleast_1d(th), basis.basis_coords[0]).real
 
         g = BoundaryData("phi1", lambda x, y: phi1(x, y))
         record = solve_svd(basis, a, g.values(colloc.points))
@@ -250,10 +249,17 @@ class TestSvdBasis:
         pts = curve.point(np.linspace(0.0, 2 * np.pi, 777))
         r, th = polar_coordinates(np.vstack([pts, 0.5 * pts]))
         z = (r / basis.scale_radius) * np.exp(1j * th)
-        ez = evaluate_basis(basis.z_factor, z)
-        ew = evaluate_basis(basis.w_factor, np.conj(z))
-        assert np.array_equal(ew, np.conj(ez))
-        assert np.array_equal(basis.rows_at(r, th), np.hstack([ez, ew[:, 1:]]))
+        p = basis.degree
+        rng = np.random.default_rng(n)
+        coef = rng.normal(size=(2 * p + 1, 3)) + 1j * rng.normal(size=(2 * p + 1, 3))
+        # the premise of the single replay: the w factor is the z factor conjugated
+        assert np.array_equal(basis.w_factor.q, np.conj(basis.z_factor.q))
+        w_block = np.vstack([np.zeros((1, 3)), coef[p + 1 :]])
+        both = evaluate_basis(basis.z_factor, z, coef[: p + 1])
+        both += evaluate_basis(basis.w_factor, np.conj(z), w_block)
+        one = basis.frame_times(r, th, coef)
+        assert one.shape == both.shape
+        assert np.max(np.abs(one - both)) <= 1e-13 * np.max(np.abs(both))
 
     def test_frame_larger_than_grid_rejected(self):
         domain = make_curve("circle")
@@ -497,5 +503,25 @@ class TestCoefficientFirstEvaluation:
             expected = assemble_direct(record.context, point_set(pts)) @ c
         else:
             basis = record.context
-            expected = (basis.rows_at(*polar_coordinates(pts)) @ (basis.basis_coords.T @ c)).real
+            expected = basis.frame_times(*polar_coordinates(pts), basis.basis_coords.T @ c).real
         assert np.array_equal(evaluate_solution(record, None, pts), expected)
+
+    def test_svd_evaluation_at_the_collocation_points_is_the_system_product(self):
+        # the fused replay against the factors' own Q, stacked by assemble_svd_system
+        record = star_cell("svd", 200)
+        basis = record.context
+        expected = (assemble_svd_system(basis, basis.colloc) @ record.coefficients).real
+        got = evaluate_solution(record, None, basis.colloc.points)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_svd_boundary_error_never_forms_the_frame(self):
+        record = star_cell("svd", 500)
+        frame_bytes = 10001 * (record.context.degree + 1) * 16
+        tracemalloc.start()
+        try:
+            boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # not even the z half of the (10001, 2p+1) stacked frame
+        assert peak < frame_bytes
