@@ -238,11 +238,16 @@ def _workspace(cfg: ExperimentConfig) -> _Workspace:
     )
 
 
+def _max_width(rows: int, itemsize: int = 8) -> int:
+    """Widest rows x width feature matrix that fits FEATURE_BYTES_MAX."""
+    return FEATURE_BYTES_MAX // (rows * itemsize)
+
+
 def _check_size(rows: int, width: int, itemsize: int = 8):
     """Refuse a rows x width feature matrix that would exceed FEATURE_BYTES_MAX."""
-    if rows * width * itemsize > FEATURE_BYTES_MAX:
+    if width > _max_width(rows, itemsize):
         raise SizeLimitError(
-            f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.6g} GiB, "
+            f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.3g} GiB, "
             f"over the {FEATURE_BYTES_MAX / 2**30:g} GiB budget"
         )
 
@@ -279,9 +284,14 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
         return build_svd_basis(setup, colloc), setup.degree
     if method == "qr":
         ratio = float(np.max(ws.boundary_radius / sources.radii))
-        cap = (FEATURE_BYTES_MAX // (8 * rows) - 1) // 2    # largest p whose features fit
+        cap = (_max_width(rows) - 1) // 2    # largest p whose rows x (2p+1) features fit
         p = expansion_degree(truncation_order(ratio, cfg.tol, cap), n + 1)    # qr needs 2p+1 > n
-        _check_size(rows, 2 * p + 1)
+        if p > cap:    # the order search stops at cap + 1, so p is only a lower bound
+            budget = FEATURE_BYTES_MAX / 2**30
+            raise SizeLimitError(
+                f"{rows} x (2p+1) feature matrix with p > {cap} needs more than "
+                f"{budget:g} GiB, over the {budget:g} GiB budget"
+            )
         return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 

@@ -27,6 +27,7 @@ from mfs2d import (
     sample_collocation,
     sample_sources,
     table_to_csv,
+    truncation_order,
     write_table,
 )
 from mfs2d import SizeLimitError, bench
@@ -257,6 +258,16 @@ class TestSizeGuard:
         monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * 8 * 8 - 1)
         with pytest.raises(SizeLimitError, match="10001 x 8 feature matrix"):
             run_single(config(methods=("direct",)), "direct", 8)
+
+    def test_capped_qr_degree_is_reported_as_a_bound(self, monkeypatch):
+        # unit disk, sources at radius 2: q = 1/2 and the qr degree is p0 (> N/2)
+        p0 = truncation_order(0.5, config().tol)
+        monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * (2 * p0 + 1) * 8)
+        assert run_single(config(methods=("qr",)), "qr", 8)[0].p == p0
+        # one byte less caps the order search at p0 - 1, which stops without reaching p0
+        monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * (2 * p0 + 1) * 8 - 1)
+        with pytest.raises(SizeLimitError, match=rf"^10001 x \(2p\+1\) feature matrix with p > {p0 - 1} "):
+            run_single(config(methods=("qr",)), "qr", 8)
 
     def test_sweep_records_the_refused_cell(self, monkeypatch):
         monkeypatch.setattr(bench, "FEATURE_BYTES_MAX", 10001 * 8 * 8)
