@@ -20,9 +20,10 @@ svd     -- sources anywhere outside the scaled boundary disk; the kernel
 Every basis is feature rows times a coordinate matrix (basis_values, the one
 dispatch on the context): kernels and identity for direct, r/R monomials and
 `transform` for qr, the Arnoldi frame and `basis_coords` for svd.  All three
-evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body;
-the svd frame rows are replayed and contracted one block of points at a
-time, so they are never stored.
+evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
+A system matrix is the identity block at the collocation points, so an svd
+basis solves on any point set; its frame rows are replayed and contracted
+one block of points at a time, never stored.
 """
 
 import math
@@ -122,31 +123,25 @@ class SvdBasis:
     constant); the rows are orthonormal.  Because the frame itself is
     uniformly well conditioned on the collocation set, the system matrix
     conditioning is bounded by the frame's, independent of N.  `frame_times`
-    evaluates the frame off the collocation set through one replay of the z
-    factor; `w_factor` is kept for `assemble_svd_system`, which stacks the
-    two factors' Q.
+    evaluates the frame at any points, system matrices included, through one
+    replay of the z factor.
     """
 
     basis_coords: np.ndarray       # (N, 2p+1) rows of the right singular-vector block
-    singular_values: np.ndarray    # (N,) descending
     z_factor: ArnoldiFactor
-    w_factor: ArnoldiFactor
     scale_radius: float
     count: int
     degree: int
-    colloc: CollocationSet = field(repr=False)
 
-    def frame_times(self, radii, angles, coef) -> np.ndarray:
-        """Stacked frame [q_z0..q_zp, q_w1..q_wp] at points times a (2p+1,) or (2p+1, k) block.
+    def frame_times(self, points, coef) -> np.ndarray:
+        """Frame [q_z0..q_zp, q_w1..q_wp] at (n, 2) points times a (2p+1,) or (2p+1, k) block.
 
         The frame itself is never formed.  The w factor is built on conj(z)
         and is bitwise the conjugate of the z factor, so the w block's part
         is conj(Q_z @ conj(b)): one replay on z carries the block [a | conj b]
         and the result is y_a + conj(y_b).
         """
-        z = (np.asarray(radii, dtype=float) / self.scale_radius) * np.exp(
-            1j * np.asarray(angles, dtype=float)
-        )
+        z = _scaled_nodes(points, self.scale_radius)
         p = self.degree
         coef = np.asarray(coef)
         cols = coef.reshape(2 * p + 1, -1)
@@ -156,6 +151,12 @@ class SvdBasis:
         np.conj(cols[p + 1 :], out=block[1:, k:])
         y = evaluate_basis(self.z_factor, z, block)
         return (y[:, :k] + np.conj(y[:, k:])).reshape(z.shape + coef.shape[1:])
+
+
+def _scaled_nodes(points, scale_radius: float) -> np.ndarray:
+    """Arnoldi nodes z = (r/R) e^{i theta} of (n, 2) points, R the scale radius."""
+    r, th = polar_coordinates(points)
+    return (r / scale_radius) * np.exp(1j * th)
 
 
 @dataclass(frozen=True)
@@ -192,14 +193,11 @@ def _kernel(points: np.ndarray, sources: SourceSet) -> np.ndarray:
 
 
 def assemble_direct(sources: SourceSet, colloc: CollocationSet) -> np.ndarray:
-    """Collocation matrix of fundamental solutions, shape (M, N) real float64.
+    """System matrix (M, N) real float64: the kernels at the collocation points.
 
-    Raises
-    ------
-    SingularityError
-        A collocation point coincides with a source (indices reported).
+    SingularityError (indices reported) when a point coincides with a source.
     """
-    return _kernel(colloc.points, sources)
+    return basis_values(sources, colloc.points)
 
 
 def _solve(method: str, a: np.ndarray, g_values, context) -> SolveRecord:
@@ -253,7 +251,7 @@ def build_svd_basis(
         raise ValueError(
             f"{colloc.count} collocation points cannot resolve 2*{p}+1 frame functions"
         )
-    z = (colloc.radii / setup.scale_radius) * np.exp(1j * colloc.angles)
+    z = _scaled_nodes(colloc.points, setup.scale_radius)
     z_factor = arnoldi_vandermonde(z, p)
     w_factor = arnoldi_vandermonde(np.conj(z), p)
     reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1)
@@ -262,29 +260,16 @@ def build_svd_basis(
         raise RankDeficiencyError(s[max(0, n - 3) :].tolist())
     return SvdBasis(
         basis_coords=vh[:n],
-        singular_values=s[:n],
         z_factor=z_factor,
-        w_factor=w_factor,
         scale_radius=setup.scale_radius,
         count=n,
         degree=p,
-        colloc=colloc,
     )
 
 
 def assemble_svd_system(basis: SvdBasis, colloc: CollocationSet) -> np.ndarray:
-    """System matrix (M, N): stacked Arnoldi columns times the basis rows.
-
-    The collocation set must be the one the basis was built on (the discrete
-    inner product behind the Arnoldi factors lives on it).
-    """
-    if colloc is not basis.colloc and not (
-        colloc.points.shape == basis.colloc.points.shape
-        and np.array_equal(colloc.points, basis.colloc.points)
-    ):
-        raise ValueError("collocation set differs from the one used to build the basis")
-    stacked = np.hstack([basis.z_factor.q, basis.w_factor.q[:, 1:]])
-    return stacked @ basis.basis_coords.T
+    """System matrix (M, N) complex: the basis values at the collocation points."""
+    return basis_values(basis, colloc.points)
 
 
 def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
@@ -392,7 +377,7 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
         return rows @ (context.transform.T if coef is None else context.transform.T @ coef)
     if isinstance(context, SvdBasis):
         block = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
-        return context.frame_times(*polar_coordinates(points), block)
+        return context.frame_times(points, block)
     raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
 
 

@@ -424,7 +424,6 @@ def test_basis_dump_context_equals_the_solved_cells(method):
     else:
         assert np.array_equal(dumped.basis_coords, solved.basis_coords)
         assert np.array_equal(dumped.z_factor.q, solved.z_factor.q)
-        assert np.array_equal(dumped.w_factor.q, solved.w_factor.q)
 
 
 @pytest.mark.parametrize("n, p", [(193, 97), (199, 100), (200, 100), (201, 101)])

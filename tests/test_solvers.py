@@ -30,7 +30,7 @@ from mfs2d import (
     solve_qr,
     solve_svd,
 )
-from mfs2d.arnoldi import evaluate_basis
+from mfs2d.arnoldi import arnoldi_vandermonde, evaluate_basis
 from mfs2d.bench import build_method_context, emit_basis_samples
 from mfs2d.geometry import CollocationSet, SourceSet, polar_coordinates
 
@@ -191,9 +191,8 @@ class TestSvdBasis:
         basis, a, _, colloc = svd_pipeline(domain, make_curve("ellipse"), 16, data)
 
         def phi1(x, y):
-            r = np.hypot(x, y)
-            th = np.arctan2(y, x) % (2 * math.pi)
-            return basis.frame_times(np.atleast_1d(r), np.atleast_1d(th), basis.basis_coords[0]).real
+            pts = np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
+            return basis.frame_times(pts, basis.basis_coords[0]).real
 
         g = BoundaryData("phi1", lambda x, y: phi1(x, y))
         record = solve_svd(basis, a, g.values(colloc.points))
@@ -210,13 +209,19 @@ class TestSvdBasis:
             delta = 1e-6 * (rng.normal(size=20) + 1j * rng.normal(size=20))
             assert base <= np.linalg.norm(a @ (record.coefficients + delta) - g) + 1e-12
 
-    def test_collocation_mismatch_rejected(self):
-        domain = make_curve("circle")
+    def test_solves_on_a_point_set_other_than_the_build_set(self):
+        # the basis functions are defined everywhere, so a denser grid than
+        # the one the factors were built on gives an equally good system
+        domain = make_curve("star_kite")
         data = make_boundary_data("x2y3")
-        basis, _, _, _ = svd_pipeline(domain, make_curve("circle", radius=2.0), 8, data)
-        other = sample_collocation(domain, 17)
-        with pytest.raises(ValueError):
-            assemble_svd_system(basis, other)
+        n = 100
+        basis, _, built, _ = svd_pipeline(domain, make_curve("circle", radius=2.0), n, data)
+        denser = sample_collocation(domain, 3 * n)
+        record = solve_svd(basis, assemble_svd_system(basis, denser), data.values(denser.points))
+        assert record.n_colloc == 3 * n
+        assert record.cond2 <= 1.5
+        err, built_err = boundary_error(record, domain, data), boundary_error(built, domain, data)
+        assert abs(err - built_err) <= 0.01 * built_err
 
     def test_duplicate_sources_flagged_by_rank_tolerance(self):
         domain = make_curve("circle")
@@ -246,18 +251,24 @@ class TestSvdBasis:
             sources, max_boundary_radius(curve), n, max_degree=(2 * n - 1) // 2
         )
         basis = build_svd_basis(setup, colloc)
-        pts = curve.point(np.linspace(0.0, 2 * np.pi, 777))
-        r, th = polar_coordinates(np.vstack([pts, 0.5 * pts]))
-        z = (r / basis.scale_radius) * np.exp(1j * th)
         p = basis.degree
+
+        def nodes(points):
+            r, th = polar_coordinates(points)
+            return (r / basis.scale_radius) * np.exp(1j * th)
+
+        # the premise of the single replay: the w factor is the z factor conjugated
+        w_factor = arnoldi_vandermonde(np.conj(nodes(colloc.points)), p)
+        assert np.array_equal(w_factor.q, np.conj(basis.z_factor.q))
+        pts = curve.point(np.linspace(0.0, 2 * np.pi, 777))
+        pts = np.vstack([pts, 0.5 * pts])
+        z = nodes(pts)
         rng = np.random.default_rng(n)
         coef = rng.normal(size=(2 * p + 1, 3)) + 1j * rng.normal(size=(2 * p + 1, 3))
-        # the premise of the single replay: the w factor is the z factor conjugated
-        assert np.array_equal(basis.w_factor.q, np.conj(basis.z_factor.q))
         w_block = np.vstack([np.zeros((1, 3)), coef[p + 1 :]])
         both = evaluate_basis(basis.z_factor, z, coef[: p + 1])
-        both += evaluate_basis(basis.w_factor, np.conj(z), w_block)
-        one = basis.frame_times(r, th, coef)
+        both += evaluate_basis(w_factor, np.conj(z), w_block)
+        one = basis.frame_times(pts, coef)
         assert one.shape == both.shape
         assert np.max(np.abs(one - both)) <= 1e-13 * np.max(np.abs(both))
 
@@ -503,15 +514,17 @@ class TestCoefficientFirstEvaluation:
             expected = assemble_direct(record.context, point_set(pts)) @ c
         else:
             basis = record.context
-            expected = basis.frame_times(*polar_coordinates(pts), basis.basis_coords.T @ c).real
+            expected = basis.frame_times(pts, basis.basis_coords.T @ c).real
         assert np.array_equal(evaluate_solution(record, None, pts), expected)
 
     def test_svd_evaluation_at_the_collocation_points_is_the_system_product(self):
-        # the fused replay against the factors' own Q, stacked by assemble_svd_system
-        record = star_cell("svd", 200)
-        basis = record.context
-        expected = (assemble_svd_system(basis, basis.colloc) @ record.coefficients).real
-        got = evaluate_solution(record, None, basis.colloc.points)
+        # the replayed system matrix against the factors' own Q, stacked as
+        # [Q_z, conj(Q_z) without its constant column] (w factor = conj z factor)
+        basis = star_cell("svd", 200).context
+        colloc = sample_collocation(make_curve("star_kite"), 400)
+        q = basis.z_factor.q
+        expected = np.hstack([q, np.conj(q[:, 1:])]) @ basis.basis_coords.T
+        got = assemble_svd_system(basis, colloc)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_svd_boundary_error_never_forms_the_frame(self):
