@@ -48,11 +48,7 @@ from .expansion import (
 )
 from .geometry import (
     BoundaryCurve,
-    Circle,
     CollocationSet,
-    OffsetCurve,
-    ParametricCurve,
-    PolarCurve,
     SourceSet,
     check_source_constraint,
     curve_names,

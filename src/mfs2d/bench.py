@@ -60,8 +60,10 @@ _SATURATION_COND = 1e15
 # on the shipped geometries, so a max-abs at or below this floor (4500 eps) is
 # noise; real traces sit far above it (smallest on star_circle2: 0.187).
 _TRACE_FLOOR = 1e-12
-# Bytes of the largest feature matrix (evaluation rows x basis width) one cell
-# may build; the largest shipped cells, direct N=1000 and svd N=500, need 80 MB.
+# Bytes of the largest feature matrix (rows x basis width) one cell may build:
+# direct's rows x N kernels (80 MB at N=1000, 10001 rows), which no basis is
+# narrower than, and qr's rows x (2p+1) monomials; for svd the same bound on
+# the complex frame, replayed in blocks and never formed, only caps p.
 FEATURE_BYTES_MAX = 1 << 30
 
 

@@ -5,10 +5,12 @@ uniform-parameter sampling of collocation and source points, the maximum
 boundary radius used to scale harmonic monomials, and the geometric
 separation check that the series expansion of the log kernel requires.
 
-All curves are parametrized over t in [0, 2*pi) and are closed.  Catalog
-curves are smooth and star shaped; construction runs a cheap sanity check
-(positive radius for radial curves, positive distance from the origin for
-parametric ones) but no global self-intersection test.
+Every curve is a BoundaryCurve: point and tangent maps over t in [0, 2*pi),
+closed and counterclockwise.  Catalog curves are smooth and star shaped;
+construction runs a cheap sanity check (positive radius for radial curves,
+positive distance from the origin for parametric ones) but no global
+self-intersection test.  `offset(<base>, rho=<v>)` moves a catalog curve by
+rho along its outward normal, the tangent rotated by -pi/2.
 """
 
 import math
@@ -42,124 +44,90 @@ def _as_param_array(t):
 
 
 class BoundaryCurve:
-    """Base class for closed curves; subclasses implement point/tangent."""
+    """Closed curve t -> (x(t), y(t)) over t in [0, 2*pi).
 
-    name = "curve"
+    `point` and `tangent` (the derivative of point in t) map a float array t
+    to shape (..., 2).  Every curve make_curve builds runs counterclockwise
+    (positive signed area), and so does its offset, whose signed area is
+    A + rho*L + pi*rho**2; outward_normal relies on this.
+    """
+
+    def __init__(self, name: str, point: Callable, tangent: Callable):
+        self.name = name
+        self._point = point
+        self._tangent = tangent
 
     def point(self, t):
         """Curve point(s) at parameter t; shape (..., 2)."""
-        raise NotImplementedError
+        return self._point(_as_param_array(t))
 
     def tangent(self, t):
         """Derivative of point with respect to t; shape (..., 2)."""
-        raise NotImplementedError
-
-    def interior_point(self) -> np.ndarray:
-        """A reference point inside the enclosed region (used to orient normals)."""
-        raise NotImplementedError
+        return self._tangent(_as_param_array(t))
 
     def __repr__(self):
-        return f"<{type(self).__name__} {self.name}>"
+        return f"<BoundaryCurve {self.name}>"
 
 
-class Circle(BoundaryCurve):
-    def __init__(self, center=(0.0, 0.0), radius=1.0):
-        if radius <= 0.0:
-            raise ValueError("circle radius must be positive")
-        self.center = np.array(center, dtype=float)
-        self.radius = float(radius)
-        self.name = "circle"
-
-    def point(self, t):
-        t = _as_param_array(t)
-        return self.center + self.radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
-
-    def tangent(self, t):
-        t = _as_param_array(t)
-        return self.radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-    def interior_point(self):
-        return self.center.copy()
+_CHECK_GRID = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
 
 
-class PolarCurve(BoundaryCurve):
+def _circle(radius=1.0, cx=0.0, cy=0.0):
+    def point(t):
+        return np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=-1)
+
+    def tangent(t):
+        return np.stack([radius * -np.sin(t), radius * np.cos(t)], axis=-1)
+
+    return BoundaryCurve("circle", point, tangent)
+
+
+def _polar(name: str, radial: Callable, radial_deriv: Callable):
     """Curve r(t)*(cos t, sin t) for a positive radial function."""
+    if np.min(radial(_CHECK_GRID)) <= 0.0:
+        raise DegenerateCurveError(f"radial function of '{name}' is not positive")
 
-    def __init__(self, name: str, radial: Callable, radial_deriv: Callable):
-        self.name = name
-        self.radial = radial
-        self.radial_deriv = radial_deriv
-        grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-        if np.min(radial(grid)) <= 0.0:
-            raise DegenerateCurveError(f"radial function of '{name}' is not positive")
-
-    def point(self, t):
-        t = _as_param_array(t)
-        r = self.radial(t)
+    def point(t):
+        r = radial(t)
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
-    def tangent(self, t):
-        t = _as_param_array(t)
-        r = self.radial(t)
-        dr = self.radial_deriv(t)
-        c, s = np.cos(t), np.sin(t)
+    def tangent(t):
+        r, dr, c, s = radial(t), radial_deriv(t), np.cos(t), np.sin(t)
         return np.stack([dr * c - r * s, dr * s + r * c], axis=-1)
 
-    def interior_point(self):
-        return np.zeros(2)
+    return BoundaryCurve(name, point, tangent)
 
 
-class ParametricCurve(BoundaryCurve):
+def _parametric(name: str, fx: Callable, fy: Callable, dfx: Callable, dfy: Callable):
     """Curve (x(t), y(t)) given by explicit coordinate functions."""
-
-    def __init__(self, name, fx, fy, dfx, dfy):
-        self.name = name
-        self._fx, self._fy, self._dfx, self._dfy = fx, fy, dfx, dfy
-        grid = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
-        pts = self.point(grid)
-        if np.min(np.hypot(pts[:, 0], pts[:, 1])) <= 0.0:
-            raise DegenerateCurveError(f"curve '{name}' passes through the origin")
-        self._interior = pts.mean(axis=0)
-
-    def point(self, t):
-        t = _as_param_array(t)
-        return np.stack([self._fx(t), self._fy(t)], axis=-1)
-
-    def tangent(self, t):
-        t = _as_param_array(t)
-        return np.stack([self._dfx(t), self._dfy(t)], axis=-1)
-
-    def interior_point(self):
-        return self._interior.copy()
+    curve = BoundaryCurve(
+        name,
+        lambda t: np.stack([fx(t), fy(t)], axis=-1),
+        lambda t: np.stack([dfx(t), dfy(t)], axis=-1),
+    )
+    pts = curve.point(_CHECK_GRID)
+    if np.min(np.hypot(pts[:, 0], pts[:, 1])) <= 0.0:
+        raise DegenerateCurveError(f"curve '{name}' passes through the origin")
+    return curve
 
 
-class OffsetCurve(BoundaryCurve):
-    """Base curve displaced by a fixed distance along its outward normal."""
+def _offset(base: BoundaryCurve, rho: float):
+    """Base curve moved rho along its outward normal; where rho exceeds the
+    radius of curvature of a concave arc, the offset folds back on itself."""
 
-    def __init__(self, base: BoundaryCurve, rho: float):
-        if rho <= 0.0:
-            raise ValueError("offset distance rho must be positive")
-        self.base = base
-        self.rho = float(rho)
-        self.name = f"offset({base.name}, rho={rho:g})"
+    def point(t):
+        return base.point(t) + rho * outward_normal(base, t)
 
-    def point(self, t):
-        t = _as_param_array(t)
-        return self.base.point(t) + self.rho * outward_normal(self.base, t)
-
-    def tangent(self, t):
+    def tangent(t):
         # The analytic tangent would need curvature of the base; a fourth-order
         # central difference of point() is accurate to ~1e-11 and is only ever
-        # needed when an offset curve is itself offset or queried for normals.
-        t = _as_param_array(t)
+        # needed when an offset curve is queried for normals.
         h = 1e-5
         return (
-            8.0 * (self.point(t + h) - self.point(t - h))
-            - (self.point(t + 2 * h) - self.point(t - 2 * h))
+            8.0 * (point(t + h) - point(t - h)) - (point(t + 2 * h) - point(t - 2 * h))
         ) / (12.0 * h)
 
-    def interior_point(self):
-        return self.base.interior_point()
+    return BoundaryCurve(f"offset({base.name}, rho={rho:g})", point, tangent)
 
 
 # --- catalog radial / coordinate functions ---------------------------------
@@ -237,12 +205,8 @@ def _gamma_blob_dy(t):
     return 4.0 * (_dgamma(t) * np.sin(t) + _gamma(t) * np.cos(t))
 
 
-def _make_circle(radius=1.0, cx=0.0, cy=0.0):
-    return Circle(center=(cx, cy), radius=radius)
-
-
-def _make_ellipse(a=2.0, b=1.5):
-    return ParametricCurve(
+def _ellipse(a=2.0, b=1.5):
+    return _parametric(
         "ellipse",
         lambda t: a * np.cos(t),
         lambda t: b * np.sin(t),
@@ -252,19 +216,19 @@ def _make_ellipse(a=2.0, b=1.5):
 
 
 _CATALOG = {
-    "circle": (_make_circle, {"radius", "cx", "cy"}),
-    "ellipse": (_make_ellipse, {"a", "b"}),
-    "star_kite": (lambda: PolarCurve("star_kite", _star_kite_r, _star_kite_dr), set()),
+    "circle": (_circle, {"radius", "cx", "cy"}),
+    "ellipse": (_ellipse, {"a", "b"}),
+    "star_kite": (lambda: _polar("star_kite", _star_kite_r, _star_kite_dr), set()),
     "gamma_blob": (
-        lambda: ParametricCurve(
+        lambda: _parametric(
             "gamma_blob", _gamma_blob_x, _gamma_blob_y, _gamma_blob_dx, _gamma_blob_dy
         ),
         set(),
     ),
-    "osc_r1": (lambda: PolarCurve("osc_r1", *_osc_r(1.2)), set()),
-    "osc_art": (lambda: PolarCurve("osc_art", *_osc_r(2.0)), set()),
-    "eta1": (lambda: PolarCurve("eta1", _eta1_r, _eta1_dr), set()),
-    "eta2": (lambda: ParametricCurve("eta2", _eta2_x, _eta2_y, _eta2_dx, _eta2_dy), set()),
+    "osc_r1": (lambda: _polar("osc_r1", *_osc_r(1.2)), set()),
+    "osc_art": (lambda: _polar("osc_art", *_osc_r(2.0)), set()),
+    "eta1": (lambda: _polar("eta1", _eta1_r, _eta1_dr), set()),
+    "eta2": (lambda: _parametric("eta2", _eta2_x, _eta2_y, _eta2_dx, _eta2_dy), set()),
 }
 
 _OFFSET_RE = re.compile(r"^offset\(\s*([a-z0-9_]+)\s*,\s*rho\s*=\s*([^\s,)]+)\s*\)$")
@@ -305,7 +269,7 @@ def make_curve(name: str, **params) -> BoundaryCurve:
             rho = float(m.group(2))
         except ValueError:
             raise ConfigError(f"bad rho value in {name!r}") from None
-        return OffsetCurve(base, _checked(name, "rho", rho))
+        return _offset(base, _checked(name, "rho", rho))
     if name not in _CATALOG:
         raise ConfigError(f"unknown curve {name!r}; known: {', '.join(curve_names())}")
     factory, allowed = _CATALOG[name]
@@ -365,25 +329,20 @@ class SourceSet:
 
 
 def outward_normal(curve: BoundaryCurve, t):
-    """Unit outward normal(s) at parameter t.
+    """Unit outward normal(s) at parameter t: the tangent rotated by -pi/2.
 
-    The tangent is rotated by -pi/2 and the sign fixed so the normal points
-    away from the curve's interior reference point.
+    Outward because every BoundaryCurve runs counterclockwise.
 
     Raises
     ------
     DegenerateCurveError
         Zero tangent vector at t.
     """
-    t = _as_param_array(t)
     tg = curve.tangent(t)
     norm = np.linalg.norm(tg, axis=-1, keepdims=True)
     if np.any(norm == 0.0):
         raise DegenerateCurveError(f"zero tangent on '{curve.name}'")
-    n = np.stack([tg[..., 1], -tg[..., 0]], axis=-1) / norm
-    outward = curve.point(t) - curve.interior_point()
-    flip = np.sum(n * outward, axis=-1) < 0.0
-    return np.where(flip[..., None], -n, n)
+    return np.stack([tg[..., 1], -tg[..., 0]], axis=-1) / norm
 
 
 def _uniform_params(count: int) -> np.ndarray:

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfs2d import (
-    Circle,
+    BoundaryCurve,
     ConfigError,
     DegenerateCurveError,
-    PolarCurve,
     check_source_constraint,
     curve_names,
     make_curve,
@@ -19,7 +18,7 @@ from mfs2d import (
     sample_collocation,
     sample_sources,
 )
-from mfs2d.geometry import SourceSet, _uniform_params, polar_coordinates
+from mfs2d.geometry import SourceSet, _polar, _uniform_params, polar_coordinates
 
 ALL_NAMES = ["circle", "ellipse", "star_kite", "gamma_blob", "osc_r1", "osc_art", "eta1", "eta2"]
 
@@ -27,9 +26,24 @@ ALL_NAMES = ["circle", "ellipse", "star_kite", "gamma_blob", "osc_r1", "osc_art"
 def fd_normal(curve, t, h=1e-6):
     """Finite-difference oracle: central-difference tangent rotated by -pi/2."""
     d = (curve.point(t + h) - curve.point(t - h)) / (2 * h)
-    n = np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
-    out = curve.point(t) - curve.interior_point()
-    return n if np.dot(n, out) >= 0 else -n
+    return np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
+
+
+def shoelace_area(curve, samples=4096):
+    """Signed area of the polygon through `samples` uniform-parameter points."""
+    x, y = curve.point(_uniform_params(samples)).T
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def inside_polygon(points, polygon):
+    """Crossing-number test: True where a point lies inside the closed polygon."""
+    x, y = points[:, 0:1], points[:, 1:2]
+    xa, ya = polygon[:, 0], polygon[:, 1]
+    xb, yb = np.roll(xa, -1), np.roll(ya, -1)
+    straddles = (ya > y) != (yb > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = xa + (y - ya) * (xb - xa) / (yb - ya)
+    return np.sum(straddles & (x < x_cross), axis=1) % 2 == 1
 
 
 class TestBoundaryPoint:
@@ -122,7 +136,9 @@ class TestOutwardNormal:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_all_catalog_normals_match_finite_differences(self, name):
         curve = make_curve(name)
-        for t in np.linspace(0.1, 2 * np.pi, 9):
+        # t = 5.3 lies on the concave gamma_blob arc whose tangent lines leave
+        # the mean of the curve's sample points on their outer side
+        for t in [*np.linspace(0.1, 2 * np.pi, 9), 5.3]:
             assert np.allclose(outward_normal(curve, t), fd_normal(curve, t), atol=1e-7)
 
     def test_unit_norm(self):
@@ -242,20 +258,35 @@ class TestCurveProperties:
 
     def test_degenerate_radial_curve_rejected(self):
         with pytest.raises(DegenerateCurveError):
-            PolarCurve("bad", np.cos, lambda t: -np.sin(t))
+            _polar("bad", np.cos, lambda t: -np.sin(t))
 
     def test_zero_tangent_rejected(self):
-        from mfs2d import ParametricCurve
-
-        frozen = ParametricCurve(
-            "frozen", np.cos, np.sin, lambda t: 0.0 * t, lambda t: 0.0 * t
+        frozen = BoundaryCurve(
+            "frozen",
+            lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
+            lambda t: np.zeros(t.shape + (2,)),
         )
         with pytest.raises(DegenerateCurveError):
             outward_normal(frozen, 0.3)
 
     def test_nonpositive_circle_radius_rejected(self):
         with pytest.raises(ValueError):
-            Circle(radius=0.0)
+            make_curve("circle", radius=0.0)
+
+    @pytest.mark.parametrize("name", ALL_NAMES + [f"offset({b}, rho=0.5)" for b in ALL_NAMES])
+    def test_counterclockwise(self, name):
+        # outward_normal rotates the tangent by -pi/2, which is outward only
+        # on a counterclockwise curve
+        assert shoelace_area(make_curve(name)) > 0.0
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5])
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_offset_points_lie_outside_the_base(self, name, rho):
+        base = make_curve(name)
+        polygon = base.point(_uniform_params(4096))
+        offset = make_curve(f"offset({name}, rho={rho})")
+        pts = offset.point(_uniform_params(200))
+        assert not np.any(inside_polygon(pts, polygon))
 
     def test_catalog_listing(self):
         assert set(ALL_NAMES) == set(curve_names())
