@@ -48,8 +48,7 @@ from .expansion import (
 )
 from .geometry import (
     BoundaryCurve,
-    CollocationSet,
-    SourceSet,
+    PointSet,
     check_source_constraint,
     curve_names,
     make_curve,

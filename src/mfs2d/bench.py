@@ -30,6 +30,7 @@ from .errors import InsufficientDataError, NumericalError, SizeLimitError
 from .expansion import MACHINE_EPS, expansion_degree, setup_expansion, truncation_order
 from .geometry import (
     BoundaryCurve,
+    PointSet,
     check_source_constraint,
     make_curve,
     max_boundary_radius,
@@ -38,7 +39,6 @@ from .geometry import (
 )
 from .solvers import (
     BoundaryData,
-    SourceSet,
     SvdBasis,
     assemble_direct,
     assemble_qr_system,
@@ -85,6 +85,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods:
             raise ConfigError("method list must be nonempty")
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError("methods must not repeat")
         for m in self.methods:
             if m not in _METHODS:
                 raise ConfigError(f"unknown method {m!r}; known: {', '.join(_METHODS)}")
@@ -92,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError("N list must be nonempty")
         if any(n <= 0 for n in self.n_values):
             raise ConfigError("N values must be positive")
-        if list(self.n_values) != sorted(self.n_values):
-            raise ConfigError("N values must be ascending")
+        if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
+            raise ConfigError("N values must be strictly ascending")
         if self.m_rule < 1:
             raise ConfigError("M_rule must be >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
@@ -232,6 +234,8 @@ class _Workspace:
 
 def _workspace(cfg: ExperimentConfig) -> _Workspace:
     domain = make_curve(cfg.domain, **cfg.domain_params)
+    if domain.folds:
+        raise ConfigError(f"domain {domain.name} folds back on itself at {domain.folds} samples")
     return _Workspace(
         domain=domain,
         source=make_curve(cfg.source, **cfg.source_params),
@@ -414,7 +418,7 @@ def _basis_csv(path, t, values, labels):
 def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     """Dump basis-function traces along the boundary to CSV.
 
-    direct (SourceSet context): one file, each column a fundamental-solution
+    direct (PointSet context): one file, each column a fundamental-solution
     trace normalized to unit max-abs.  svd (SvdBasis context): two files,
     '<stem>_real<ext>' and '<stem>_imag<ext>', raw values.  qr (QrBasis
     context): one file, raw values.  Returns the list of paths written.
@@ -424,14 +428,14 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    if isinstance(context, SourceSet):
+    if isinstance(context, PointSet):
         _check_size(count, context.count)
     else:
         _check_size(count, 2 * context.degree + 1, 16 if isinstance(context, SvdBasis) else 8)
     grid = sample_collocation(curve, count)
     traces = basis_values(context, grid.points)
     path = str(path)
-    if isinstance(context, SourceSet):
+    if isinstance(context, PointSet):
         peaks = np.max(np.abs(traces), axis=0)
         if np.min(peaks) <= _TRACE_FLOOR:
             j = int(np.argmin(peaks))

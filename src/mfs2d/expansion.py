@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintViolationError, SingularityError
-from .geometry import SourceSet
+from .geometry import PointSet
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -195,7 +195,7 @@ class ExpansionSetup:
     base_order: Optional[int]    # tolerance-driven order before the degree floor
     degree: int
     matrix: np.ndarray           # (N, 2*degree + 1) complex
-    sources: SourceSet
+    sources: PointSet
 
     @property
     def count(self) -> int:
@@ -208,7 +208,7 @@ class ExpansionSetup:
 
 
 def expansion_matrix(
-    sources: SourceSet,
+    sources: PointSet,
     scale_radius: float,
     degree: int,
     base_order: Optional[int] = None,
@@ -246,7 +246,7 @@ def expansion_matrix(
 
 
 def setup_expansion(
-    sources: SourceSet,
+    sources: PointSet,
     scale_radius: float,
     n_basis: int,
     tol: float = MACHINE_EPS,

@@ -49,8 +49,11 @@ class BoundaryCurve:
     `point` and `tangent` (the derivative of point in t) map a float array t
     to shape (..., 2).  Every curve make_curve builds runs counterclockwise
     (positive signed area), and so does its offset, whose signed area is
-    A + rho*L + pi*rho**2; outward_normal relies on this.
+    A + rho*L + pi*rho**2; outward_normal relies on this.  `folds` counts the
+    samples where an offset folds back on itself: its tangent opposes the base's.
     """
+
+    folds = 0
 
     def __init__(self, name: str, point: Callable, tangent: Callable):
         self.name = name
@@ -120,14 +123,16 @@ def _offset(base: BoundaryCurve, rho: float):
 
     def tangent(t):
         # The analytic tangent would need curvature of the base; a fourth-order
-        # central difference of point() is accurate to ~1e-11 and is only ever
-        # needed when an offset curve is queried for normals.
+        # central difference of point() is accurate to ~1e-11.
         h = 1e-5
         return (
             8.0 * (point(t + h) - point(t - h)) - (point(t + 2 * h) - point(t - 2 * h))
         ) / (12.0 * h)
 
-    return BoundaryCurve(f"offset({base.name}, rho={rho:g})", point, tangent)
+    curve = BoundaryCurve(f"offset({base.name}, rho={rho:g})", point, tangent)
+    along = np.sum(curve.tangent(_CHECK_GRID) * base.tangent(_CHECK_GRID), axis=-1)
+    curve.folds = int(np.count_nonzero(along < 0.0))
+    return curve
 
 
 # --- catalog radial / coordinate functions ---------------------------------
@@ -295,11 +300,11 @@ def _checked(name: str, key: str, value) -> float:
 
 
 @dataclass(frozen=True)
-class CollocationSet:
-    """Boundary points at stored parameters, with polar coordinates."""
+class PointSet:
+    """Points sampled at stored curve parameters; polar data follow the points."""
 
-    points: np.ndarray    # (M, 2)
-    params: np.ndarray    # (M,)
+    points: np.ndarray    # (n, 2)
+    params: np.ndarray    # (n,)
 
     @property
     def count(self) -> int:
@@ -312,20 +317,6 @@ class CollocationSet:
     @property
     def angles(self) -> np.ndarray:
         return polar_coordinates(self.points)[1]
-
-
-@dataclass(frozen=True)
-class SourceSet:
-    """Exterior source points with polar data (radius, angle) per point."""
-
-    points: np.ndarray    # (N, 2)
-    params: np.ndarray    # (N,)
-    radii: np.ndarray     # (N,) distances from the origin
-    angles: np.ndarray    # (N,) in [0, 2*pi)
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
 
 
 def outward_normal(curve: BoundaryCurve, t):
@@ -349,24 +340,20 @@ def _uniform_params(count: int) -> np.ndarray:
     return TWO_PI * np.arange(1, count + 1) / count
 
 
-def sample_collocation(curve: BoundaryCurve, count: int) -> CollocationSet:
-    """Sample `count` boundary points at uniform parameters t_i = 2*pi*i/count."""
+def sample_collocation(curve: BoundaryCurve, count: int) -> PointSet:
+    """Sample `count` curve points at uniform parameters t_i = 2*pi*i/count."""
     if count < 1:
-        raise ValueError("collocation count must be >= 1")
+        raise ValueError("point count must be >= 1")
     params = _uniform_params(int(count))
-    return CollocationSet(points=curve.point(params), params=params)
+    return PointSet(points=curve.point(params), params=params)
 
 
-def sample_sources(curve: BoundaryCurve, count: int) -> SourceSet:
+def sample_sources(curve: BoundaryCurve, count: int) -> PointSet:
     """Sample `count` source points on the given curve at uniform parameters."""
-    if count < 1:
-        raise ValueError("source count must be >= 1")
-    params = _uniform_params(int(count))
-    pts = curve.point(params)
-    radii, angles = polar_coordinates(pts)
-    if np.any(radii == 0.0):
+    sources = sample_collocation(curve, count)
+    if np.any(sources.radii == 0.0):
         raise DegenerateCurveError("source point at the origin has no polar angle")
-    return SourceSet(points=pts, params=params, radii=radii, angles=angles)
+    return sources
 
 
 def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
@@ -407,7 +394,7 @@ def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
     return max(float(norms[k]), fc, fd)
 
 
-def check_source_constraint(sources: SourceSet, boundary_radius: float) -> float:
+def check_source_constraint(sources: PointSet, boundary_radius: float) -> float:
     """Separation margin 1 - max_j (boundary_radius / rho_j).
 
     Positive margin means every source lies outside the closed origin-centered

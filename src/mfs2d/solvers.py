@@ -37,7 +37,7 @@ from . import linalg
 from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, RankDeficiencyError, SingularityError
 from .expansion import ExpansionSetup
-from .geometry import TWO_PI, BoundaryCurve, CollocationSet, SourceSet, polar_coordinates
+from .geometry import BoundaryCurve, PointSet, polar_coordinates, sample_collocation
 
 _COINCIDENCE_RTOL = 1e-14
 
@@ -179,7 +179,7 @@ class QrBasis:
 # --- direct backend ----------------------------------------------------------
 
 
-def _kernel(points: np.ndarray, sources: SourceSet) -> np.ndarray:
+def _kernel(points: np.ndarray, sources: PointSet) -> np.ndarray:
     """Kernel matrix -log|x_i - y_j| / (2 pi), (n_points, N); SingularityError on coincidence."""
     d = np.hypot(
         points[:, 0, None] - sources.points[None, :, 0],
@@ -192,7 +192,7 @@ def _kernel(points: np.ndarray, sources: SourceSet) -> np.ndarray:
     return -np.log(d) / (2.0 * math.pi)
 
 
-def assemble_direct(sources: SourceSet, colloc: CollocationSet) -> np.ndarray:
+def assemble_direct(sources: PointSet, colloc: PointSet) -> np.ndarray:
     """System matrix (M, N) real float64: the kernels at the collocation points.
 
     SingularityError (indices reported) when a point coincides with a source.
@@ -215,7 +215,7 @@ def _solve(method: str, a: np.ndarray, g_values, context) -> SolveRecord:
     )
 
 
-def solve_direct(a: np.ndarray, g_values, sources: Optional[SourceSet] = None) -> SolveRecord:
+def solve_direct(a: np.ndarray, g_values, sources: Optional[PointSet] = None) -> SolveRecord:
     """Least-squares solve of the direct collocation system."""
     return _solve("direct", a, g_values, sources)
 
@@ -224,7 +224,7 @@ def solve_direct(a: np.ndarray, g_values, sources: Optional[SourceSet] = None) -
 
 
 def build_svd_basis(
-    setup: ExpansionSetup, colloc: CollocationSet, rank_tol: float = 0.0
+    setup: ExpansionSetup, colloc: PointSet, rank_tol: float = 0.0
 ) -> SvdBasis:
     """Construct the well-conditioned basis on the given collocation set.
 
@@ -267,7 +267,7 @@ def build_svd_basis(
     )
 
 
-def assemble_svd_system(basis: SvdBasis, colloc: CollocationSet) -> np.ndarray:
+def assemble_svd_system(basis: SvdBasis, colloc: PointSet) -> np.ndarray:
     """System matrix (M, N) complex: the basis values at the collocation points."""
     return basis_values(basis, colloc.points)
 
@@ -292,7 +292,7 @@ def _real_monomials(r: np.ndarray, th: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def build_qr_basis(sources: SourceSet, degree: int, scale_radius: float = 1.0) -> QrBasis:
+def build_qr_basis(sources: PointSet, degree: int, scale_radius: float = 1.0) -> QrBasis:
     """QR-and-rescale basis for sources on a common origin-centered circle.
 
     The trigonometric expansion matrix B (rows -1, -cos(m a_j), -sin(m a_j))
@@ -346,7 +346,7 @@ def build_qr_basis(sources: SourceSet, degree: int, scale_radius: float = 1.0) -
     )
 
 
-def assemble_qr_system(basis: QrBasis, colloc: CollocationSet) -> np.ndarray:
+def assemble_qr_system(basis: QrBasis, colloc: PointSet) -> np.ndarray:
     """System matrix (M, N) real float64: the basis values at the collocation points."""
     return basis_values(basis, colloc.points)
 
@@ -362,13 +362,13 @@ def solve_qr(basis: QrBasis, a: np.ndarray, g_values) -> SolveRecord:
 def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
     """Basis functions of a context at (n, 2) points times a coefficient block.
 
-    `context` is a SourceSet (direct kernels), QrBasis or SvdBasis; coef is
+    `context` is a PointSet (direct kernels), QrBasis or SvdBasis; coef is
     (N, k) or (N,) on its basis functions, and None (the identity) gives one
     column per function.  This is the one dispatch on the context: every
     basis is feature rows times its coordinates, and the coordinates are
     applied to coef before the rows are (coefficient-first).
     """
-    if isinstance(context, SourceSet):
+    if isinstance(context, PointSet):
         rows = _kernel(points, context)
         return rows if coef is None else rows @ coef
     if isinstance(context, QrBasis):
@@ -378,10 +378,10 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
     if isinstance(context, SvdBasis):
         block = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
         return context.frame_times(points, block)
-    raise ValueError("context must be a SourceSet, SvdBasis, or QrBasis")
+    raise ValueError("context must be a PointSet, SvdBasis, or QrBasis")
 
 
-_CONTEXT_TYPES = {"direct": SourceSet, "qr": QrBasis, "svd": SvdBasis}
+_CONTEXT_TYPES = {"direct": PointSet, "qr": QrBasis, "svd": SvdBasis}
 
 
 def _evaluate_complex(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
@@ -414,8 +414,7 @@ def boundary_error(
     """
     if record.context is None:
         raise ValueError("record has no stored evaluation context")
-    t = TWO_PI * np.arange(1, count + 1) / count
-    pts = curve.point(t)
+    pts = sample_collocation(curve, count).points
     vals = _evaluate_complex(record, record.context, pts)
     err = float(np.max(np.abs(vals.real - data.values(pts))))
     record.linf_boundary_error = err

@@ -108,10 +108,14 @@ class TestConfigParsing:
     def test_descending_n_rejected(self):
         with pytest.raises(ConfigError):
             config(n_values=(100, 50))
+        with pytest.raises(ConfigError):
+            config(n_values=(10, 10))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
             config(methods=("direct", "multigrid"))
+        with pytest.raises(ConfigError):
+            config(methods=("direct", "direct"))
 
     def test_empty_methods_rejected(self):
         with pytest.raises(ConfigError):
@@ -436,7 +440,14 @@ def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    domain=st.sampled_from(curve_names()),
+    domain=st.one_of(
+        st.sampled_from(curve_names()),
+        st.builds(
+            "offset({}, rho={})".format,
+            st.sampled_from(curve_names()),
+            st.sampled_from([0.05, 0.3, 0.5]),
+        ),
+    ),
     radius=st.floats(0.1, 10.0),
     cx=st.floats(-3.0, 3.0),
     cy=st.floats(-3.0, 3.0),

@@ -73,6 +73,17 @@ class TestSolve:
         assert main(["solve", "--config", str(path)]) == 2
         assert "configuration error: unknown [run] keys ['seed']" in capsys.readouterr().err
 
+    def test_folded_offset_domain_exits_2(self, tmp_path, capsys):
+        folded = "curve = offset(osc_r1, rho=0.5)"
+        path = tmp_path / "bad.cfg"
+        text = CONFIG.replace("[domain]\ncurve = circle", "[domain]\n" + folded)
+        path.write_text(text.replace("radius = 2", "radius = 3").replace("N = 6,8", "N = 40"))
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "folds back on itself" in capsys.readouterr().err
+        # the same curve stays a valid source curve: its points lie outside the base
+        path.write_text(CONFIG.replace("curve = circle\nradius = 2", folded))
+        assert main(["solve", "--config", str(path)]) == 0
+
     @pytest.mark.parametrize("command", ["solve", "sweep"])
     def test_non_finite_source_radius_exits_2(self, tmp_path, capsys, command):
         path = tmp_path / "bad.cfg"

@@ -25,17 +25,11 @@ from mfs2d import (
     truncation_order,
 )
 from mfs2d import expansion
-from mfs2d.geometry import SourceSet
+from mfs2d.geometry import PointSet
 
 
 def single_source(x, y):
-    pts = np.array([[x, y]])
-    return SourceSet(
-        points=pts,
-        params=np.array([0.0]),
-        radii=np.array([math.hypot(x, y)]),
-        angles=np.array([math.atan2(y, x) % (2 * math.pi)]),
-    )
+    return PointSet(points=np.array([[x, y]]), params=np.array([0.0]))
 
 
 class TestKernels:
@@ -208,12 +202,7 @@ class TestCappedTruncationOrder:
         assert truncation_order(q, MACHINE_EPS, 6710) == 6711
 
     def test_setup_records_the_binding_cap(self):
-        sources = SourceSet(
-            points=np.array([[1.0 + 1e-9, 0.0]]),
-            params=np.zeros(1),
-            radii=np.array([1.0 + 1e-9]),
-            angles=np.zeros(1),
-        )
+        sources = PointSet(points=np.array([[1.0 + 1e-9, 0.0]]), params=np.zeros(1))
         setup = setup_expansion(sources, 1.0, 1, max_degree=7)
         assert setup.degree == 7 and setup.base_order == 8
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -18,7 +19,7 @@ from mfs2d import (
     sample_collocation,
     sample_sources,
 )
-from mfs2d.geometry import SourceSet, _polar, _uniform_params, polar_coordinates
+from mfs2d.geometry import PointSet, _polar, _uniform_params, polar_coordinates
 
 ALL_NAMES = ["circle", "ellipse", "star_kite", "gamma_blob", "osc_r1", "osc_art", "eta1", "eta2"]
 
@@ -185,6 +186,12 @@ class TestSampling:
         rebuilt = ss.radii[:, None] * np.stack([np.cos(ss.angles), np.sin(ss.angles)], axis=1)
         assert np.allclose(rebuilt, ss.points, atol=1e-12)
 
+    def test_polar_data_follow_the_points(self):
+        ss = sample_sources(make_curve("star_kite"), 12)
+        moved = dataclasses.replace(ss, points=2 * ss.points)
+        assert np.array_equal(moved.radii, np.hypot(*(2 * ss.points).T))
+        assert np.array_equal(moved.angles, polar_coordinates(2 * ss.points)[1])
+
 
 class TestMaxBoundaryRadius:
     def test_unit_circle(self):
@@ -229,12 +236,7 @@ class TestSourceConstraint:
     @settings(max_examples=50, deadline=None)
     def test_moving_sources_outward_never_flips_ok(self, radius, grow):
         ss = sample_sources(make_curve("circle", radius=radius), 8)
-        scaled = SourceSet(
-            points=ss.points * grow,
-            params=ss.params,
-            radii=ss.radii * grow,
-            angles=ss.angles,
-        )
+        scaled = PointSet(points=ss.points * grow, params=ss.params)
         before = check_source_constraint(ss, 1.0)
         after = check_source_constraint(scaled, 1.0)
         assert after >= before - 1e-15

@@ -32,22 +32,12 @@ from mfs2d import (
 )
 from mfs2d.arnoldi import arnoldi_vandermonde, evaluate_basis
 from mfs2d.bench import build_method_context, emit_basis_samples
-from mfs2d.geometry import CollocationSet, SourceSet, polar_coordinates
+from mfs2d.geometry import PointSet, polar_coordinates
 
 
 def point_set(coords):
     pts = np.asarray(coords, dtype=float)
-    return CollocationSet(points=pts, params=np.zeros(len(pts)))
-
-
-def source_set(coords):
-    pts = np.asarray(coords, dtype=float)
-    return SourceSet(
-        points=pts,
-        params=np.zeros(len(pts)),
-        radii=np.hypot(pts[:, 0], pts[:, 1]),
-        angles=np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi),
-    )
+    return PointSet(points=pts, params=np.zeros(len(pts)))
 
 
 def svd_pipeline(domain, source, n, data, m_rule=2):
@@ -94,22 +84,22 @@ class TestBoundaryData:
 
 class TestDirect:
     def test_unit_distance_entry(self):
-        a = assemble_direct(source_set([[2.0, 0.0]]), point_set([[1.0, 0.0]]))
+        a = assemble_direct(point_set([[2.0, 0.0]]), point_set([[1.0, 0.0]]))
         assert a.shape == (1, 1)
         assert a.dtype == np.float64
         assert a[0, 0] == 0.0
 
     def test_distance_e_entry(self):
-        a = assemble_direct(source_set([[1.0 + math.e, 0.0]]), point_set([[1.0, 0.0]]))
+        a = assemble_direct(point_set([[1.0 + math.e, 0.0]]), point_set([[1.0, 0.0]]))
         assert a[0, 0] == pytest.approx(-1 / (2 * math.pi), abs=1e-15)
 
     def test_coincident_point_names_indices(self):
         with pytest.raises(SingularityError) as err:
-            assemble_direct(source_set([[2.0, 0.0], [1.0, 0.0]]), point_set([[1.0, 0.0]]))
+            assemble_direct(point_set([[2.0, 0.0], [1.0, 0.0]]), point_set([[1.0, 0.0]]))
         assert "0" in str(err.value) and "1" in str(err.value)
 
     def test_evaluation_at_a_source_raises(self):
-        sources = source_set([[2.0, 0.0], [0.0, 2.0]])
+        sources = point_set([[2.0, 0.0], [0.0, 2.0]])
         colloc = point_set([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         record = solve_direct(assemble_direct(sources, colloc), [1.0, 0.0, 0.5], sources)
         with pytest.raises(SingularityError):
@@ -229,12 +219,7 @@ class TestSvdBasis:
         base = sample_sources(make_curve("circle", radius=2.0), 8)
         pts = base.points.copy()
         pts[7] = pts[0]    # duplicated source
-        dup = SourceSet(
-            points=pts,
-            params=base.params,
-            radii=np.hypot(pts[:, 0], pts[:, 1]),
-            angles=np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi),
-        )
+        dup = dataclasses.replace(base, points=pts)
         setup = setup_expansion(dup, 1.0, 8, max_degree=7)
         with pytest.raises(RankDeficiencyError):
             build_svd_basis(setup, colloc, rank_tol=1e-13)
