@@ -1,19 +1,18 @@
-"""Log-kernel expansion in scaled harmonic monomials.
+"""Log-kernel expansion in powers of one complex coordinate.
 
-A log kernel centered at an exterior source point with polar coordinates
-(rho_j, alpha_j) expands, for boundary points (r, theta) with r <= R (the
-maximum boundary radius), as
+A point x = (x, y) is taken as z = (x + iy)/R about the origin, R the
+maximum boundary radius, and each exterior source y_j, read as a complex
+number, as u_j = R/y_j.  For |z| <= 1 < 1/|u_j| the log kernel expands as
 
-    log|x - y_j| = log(rho_j)
-                   - sum_{m>=1} (r/R)^m (R/rho_j)^m
-                     (e^{im theta} e^{-im alpha_j} + e^{-im theta} e^{im alpha_j}) / (2m).
+    log|x - y_j| = log|y_j| - Re sum_{m>=1} (z u_j)^m / m
+                 = log|y_j| - sum_{m>=1} (u_j^m z^m + conj(u_j)^m w^m) / (2m),  w = conj(z).
 
-The series converges geometrically with ratio q = max_j R/rho_j < 1; the
+The series converges geometrically with ratio q = max_j |u_j| < 1; the
 truncation order is chosen so the tail, bounded by q^{p+1} * Phi(q, 1, p+1)
 with Phi the Hurwitz-Lerch transcendent at s=1, drops below a tolerance.
 The expansion matrix maps the monomial feature vector
 
-    F(r, theta) = [1, z, ..., z^p, w, ..., w^p],  z = (r/R) e^{i theta}, w = conj(z)
+    F(z) = [1, z, ..., z^p, w, ..., w^p]
 
 to the vector of kernel values for all sources.
 """
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintViolationError, SingularityError
-from .geometry import PointSet
+from .geometry import PointSet, scaled_coordinate
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -167,7 +166,7 @@ def _powers(z: np.ndarray, p: int) -> np.ndarray:
 
 
 def harmonic_monomials(radii, angles, scale_radius: float, degree: int) -> np.ndarray:
-    """Feature matrix [1, z..z^p, w..w^p] with z = (r/R) e^{i theta}, w = conj(z).
+    """Feature matrix [1, z..z^p, w..w^p] at polar points, z = (r/R) e^{i theta}, w = conj(z).
 
     Returns shape (n_points, 2*degree + 1).
     """
@@ -187,8 +186,8 @@ class ExpansionSetup:
     """Truncated expansion of all source kernels in scaled harmonic monomials.
 
     `matrix` has one row per source and columns matching harmonic_monomials:
-    column 0 holds log(rho_j), the z-power block holds
-    -(R/rho_j)^m e^{-im alpha_j} / (2m) and the w-power block its conjugate.
+    column 0 holds log|y_j|, the z-power block holds -u_j^m / (2m) with
+    u_j = R/y_j, and the w-power block its conjugate.
     """
 
     scale_radius: float
@@ -221,19 +220,17 @@ def expansion_matrix(
         Some source lies inside the origin-centered disk of radius
         `scale_radius`, carrying the (negative) margin.
     """
-    ratios = scale_radius / sources.radii
-    margin = 1.0 - float(np.max(ratios))
+    z = scaled_coordinate(sources.points, scale_radius)
+    u = 1.0 / z    # R / y_j
+    margin = 1.0 - float(np.max(np.abs(u)))
     if margin <= 0.0:
         raise ConstraintViolationError(margin)
     n = sources.count
     if 2 * degree + 1 < n:
         raise ValueError(f"degree {degree} too small for {n} sources (need 2p+1 >= N)")
-    m = np.arange(1, degree + 1)
-    decay = ratios[:, None] ** m[None, :] / (2.0 * m[None, :])
-    phase = np.exp(-1j * np.outer(sources.angles, m))
-    zblock = -decay * phase
+    zblock = _powers(u, degree) / (-2.0 * np.arange(1, degree + 1))
     mat = np.empty((n, 2 * degree + 1), dtype=complex)
-    mat[:, 0] = np.log(sources.radii)
+    mat[:, 0] = np.log(scale_radius * np.abs(z))
     mat[:, 1 : degree + 1] = zblock
     mat[:, degree + 1 :] = np.conj(zblock)
     return ExpansionSetup(

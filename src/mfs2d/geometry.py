@@ -36,6 +36,11 @@ def polar_coordinates(points):
     return np.hypot(points[:, 0], points[:, 1]), wrap_angle(np.arctan2(points[:, 1], points[:, 0]))
 
 
+def scaled_coordinate(points, scale_radius: float) -> np.ndarray:
+    """z = (x + iy)/R of (n, 2) points, x/R and y/R rounded once; features are powers of z."""
+    return (np.asarray(points, dtype=float) / scale_radius).view(complex)[:, 0]
+
+
 def _as_param_array(t):
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):

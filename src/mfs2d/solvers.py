@@ -18,8 +18,9 @@ svd     -- sources anywhere outside the scaled boundary disk; the kernel
            whose collocation matrix stays O(1)-conditioned at any N.
 
 Every basis is feature rows times a coordinate matrix (basis_values, the one
-dispatch on the context): kernels and identity for direct, r/R monomials and
-`transform` for qr, the Arnoldi frame and `basis_coords` for svd.  All three
+dispatch on the context): kernels and identity for direct, Re z^m, Im z^m and
+`transform` for qr, the Arnoldi frame in z and `basis_coords` for svd, where
+z = (x + iy)/R about the origin, R the maximum boundary radius.  All three
 evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
 A system matrix is the identity block at the collocation points, so an svd
 basis solves on any point set; its frame rows are replayed and contracted
@@ -37,7 +38,7 @@ from . import linalg
 from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, RankDeficiencyError, SingularityError
 from .expansion import ExpansionSetup
-from .geometry import BoundaryCurve, PointSet, polar_coordinates, sample_collocation
+from .geometry import BoundaryCurve, PointSet, sample_collocation, scaled_coordinate
 
 _COINCIDENCE_RTOL = 1e-14
 
@@ -141,7 +142,7 @@ class SvdBasis:
         is conj(Q_z @ conj(b)): one replay on z carries the block [a | conj b]
         and the result is y_a + conj(y_b).
         """
-        z = _scaled_nodes(points, self.scale_radius)
+        z = scaled_coordinate(points, self.scale_radius)
         p = self.degree
         coef = np.asarray(coef)
         cols = coef.reshape(2 * p + 1, -1)
@@ -153,21 +154,15 @@ class SvdBasis:
         return (y[:, :k] + np.conj(y[:, k:])).reshape(z.shape + coef.shape[1:])
 
 
-def _scaled_nodes(points, scale_radius: float) -> np.ndarray:
-    """Arnoldi nodes z = (r/R) e^{i theta} of (n, 2) points, R the scale radius."""
-    r, th = polar_coordinates(points)
-    return (r / scale_radius) * np.exp(1j * th)
-
-
 @dataclass(frozen=True)
 class QrBasis:
     """Rescaled triangular transform mapping scaled harmonic monomials to the basis.
 
-    Basis function n at (r, theta) is row n of `transform` applied to
-    [1, s cos(theta), s sin(theta), ..., s^p cos(p theta), s^p sin(p theta)]
-    with s = r / scale_radius (R, the maximum boundary radius), so every
-    monomial is O(1) on the boundary and the R^m growth sits in the
-    Hadamard scale (R/rho)^m / m of `transform` instead.
+    Basis function n at (x, y) is row n of `transform` applied to
+    [1, Re z, Im z, ..., Re z^p, Im z^p] with z = (x + iy) / scale_radius
+    (R, the maximum boundary radius), so every monomial is O(1) on the
+    boundary and the R^m growth sits in the Hadamard scale (R/rho)^m / m
+    of `transform` instead.
     """
 
     transform: np.ndarray    # (N, 2p+1) real
@@ -229,7 +224,7 @@ def build_svd_basis(
     """Construct the well-conditioned basis on the given collocation set.
 
     Runs independent Arnoldi factorizations on the scaled boundary nodes
-    z_i = (r_i/R) e^{i theta_i} and their conjugates, couples them with the
+    z_i = (x_i + i y_i)/R and their conjugates, couples them with the
     expansion matrix, and takes the SVD of the product; the right
     singular-vector rows define the new basis.
 
@@ -251,7 +246,7 @@ def build_svd_basis(
         raise ValueError(
             f"{colloc.count} collocation points cannot resolve 2*{p}+1 frame functions"
         )
-    z = _scaled_nodes(colloc.points, setup.scale_radius)
+    z = scaled_coordinate(colloc.points, setup.scale_radius)
     z_factor = arnoldi_vandermonde(z, p)
     w_factor = arnoldi_vandermonde(np.conj(z), p)
     reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1)
@@ -280,15 +275,15 @@ def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
 # --- qr backend --------------------------------------------------------------
 
 
-def _real_monomials(r: np.ndarray, th: np.ndarray, degree: int) -> np.ndarray:
-    """[1, r cos t, r sin t, ..., r^p cos pt, r^p sin pt], shape (n, 2p+1)."""
-    out = np.empty((r.shape[0], 2 * degree + 1))
+def _real_monomials(z: np.ndarray, degree: int) -> np.ndarray:
+    """[1, Re z, Im z, ..., Re z^p, Im z^p] from a running power, shape (n, 2p+1)."""
+    out = np.empty((z.shape[0], 2 * degree + 1))
     out[:, 0] = 1.0
-    rm = np.ones_like(r)
+    zm = np.ones_like(z)
     for m in range(1, degree + 1):
-        rm = rm * r
-        out[:, 2 * m - 1] = rm * np.cos(m * th)
-        out[:, 2 * m] = rm * np.sin(m * th)
+        zm *= z
+        out[:, 2 * m - 1] = zm.real
+        out[:, 2 * m] = zm.imag
     return out
 
 
@@ -300,9 +295,10 @@ def build_qr_basis(sources: PointSet, degree: int, scale_radius: float = 1.0) ->
     scale ratios d_m / d_k with d_0 = log(eps), d_m = (R eps)^m / m (eps the
     reciprocal source radius, R = `scale_radius`), which keeps the basis
     change span-preserving while flattening the kernel's geometric decay.
-    The transform acts on the monomials in r/R, so the system matrix
-    columns stay O(1) on a boundary of maximum radius R; R = 1 gives the
-    raw monomials, the right scale for domains inside the unit disk.
+    The transform acts on the monomials Re z^m, Im z^m of z = (x + iy)/R,
+    so the system matrix columns stay O(1) on a boundary of maximum radius
+    R; R = 1 gives the raw monomials, the right scale for domains inside
+    the unit disk.
 
     Raises
     ------
@@ -318,8 +314,9 @@ def build_qr_basis(sources: PointSet, degree: int, scale_radius: float = 1.0) ->
     scale_radius = float(scale_radius)
     if not (math.isfinite(scale_radius) and scale_radius > 0.0):
         raise ConfigError(f"qr scale radius must be finite and positive, got {scale_radius!r}")
-    radius = float(np.mean(sources.radii))
-    if np.max(np.abs(sources.radii - radius)) > 1e-9 * radius:
+    radii = sources.radii
+    radius = float(np.mean(radii))
+    if np.max(np.abs(radii - radius)) > 1e-9 * radius:
         raise ConfigError("qr backend requires all sources on a common circle")
     eps = 1.0 / radius
     if eps == 1.0:
@@ -372,8 +369,7 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
         rows = _kernel(points, context)
         return rows if coef is None else rows @ coef
     if isinstance(context, QrBasis):
-        r, th = polar_coordinates(points)
-        rows = _real_monomials(r / context.scale_radius, th, context.degree)
+        rows = _real_monomials(scaled_coordinate(points, context.scale_radius), context.degree)
         return rows @ (context.transform.T if coef is None else context.transform.T @ coef)
     if isinstance(context, SvdBasis):
         block = context.basis_coords.T if coef is None else context.basis_coords.T @ coef

@@ -32,6 +32,15 @@ def single_source(x, y):
     return PointSet(points=np.array([[x, y]]), params=np.array([0.0]))
 
 
+def mp_powers(u, degree):
+    """u^1 .. u^degree of one mpmath complex value, as complex128."""
+    out, um = [], mpmath.mpc(1)
+    for _ in range(degree):
+        um *= u
+        out.append(complex(um))
+    return np.array(out)
+
+
 class TestKernels:
     def test_unit_distance(self):
         assert log_kernel((0, 0), (1, 0)) == 0.0
@@ -262,6 +271,24 @@ class TestExpansionMatrix:
             tol = 1e-12 * np.maximum(1.0, np.abs(exact))
             assert np.all(np.abs(approx[j].real - exact) <= tol)
             assert np.all(np.abs(approx[j].imag) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "curve, params, scale, degree, n",
+        [("circle", {"radius": 1.03}, 1.0, 500, 250), ("gamma_blob", {}, 2.4, 400, 300)],
+    )
+    def test_high_degree_entries_match_mpmath(self, curve, params, scale, degree, n):
+        # oracle: log|y_j| and -u_j^m / (2m), u_j = R / y_j, in 30-digit arithmetic
+        sources = sample_sources(make_curve(curve, **params), n)
+        setup = expansion_matrix(sources, scale, degree)
+        rows = np.arange(0, n, 10)
+        m = np.arange(1, degree + 1)
+        with mpmath.workdps(30):
+            ys = [mpmath.mpc(x, y) for x, y in sources.points[rows]]
+            log_y = np.array([float(mpmath.log(abs(y))) for y in ys])
+            zblock = np.array([mp_powers(scale / y, degree) for y in ys]) / (-2.0 * m)
+        assert np.all(np.abs(setup.matrix[rows, 0] - log_y) <= 2e-12 * np.max(np.abs(log_y)))
+        got = setup.matrix[rows, 1 : degree + 1]
+        assert np.all(np.abs(got - zblock) <= 2e-12 * np.max(np.abs(zblock), axis=0))
 
     def test_truncation_residual_bound(self):
         # deliberately low degree: the residual estimate must still hold

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,9 +31,10 @@ from mfs2d import (
     solve_qr,
     solve_svd,
 )
+from mfs2d import solvers
 from mfs2d.arnoldi import arnoldi_vandermonde, evaluate_basis
 from mfs2d.bench import build_method_context, emit_basis_samples
-from mfs2d.geometry import PointSet, polar_coordinates
+from mfs2d.geometry import PointSet, scaled_coordinate
 
 
 def point_set(coords):
@@ -239,8 +241,7 @@ class TestSvdBasis:
         p = basis.degree
 
         def nodes(points):
-            r, th = polar_coordinates(points)
-            return (r / basis.scale_radius) * np.exp(1j * th)
+            return scaled_coordinate(points, basis.scale_radius)
 
         # the premise of the single replay: the w factor is the z factor conjugated
         w_factor = arnoldi_vandermonde(np.conj(nodes(colloc.points)), p)
@@ -282,6 +283,24 @@ class TestQr:
         expected = eps**m / (m * math.log(eps))
         ratio = basis.transform[0, 1::2] / r[0, 1::2]
         assert np.allclose(ratio, expected, rtol=1e-12)
+
+    def test_high_degree_rows_match_mpmath(self):
+        # oracle: Re z^m, Im z^m of z = (x + iy)/R in 30-digit arithmetic
+        curve = make_curve("star_kite")
+        scale = max_boundary_radius(curve)
+        pts = sample_collocation(curve, 10001).points
+        p = 250
+        rows = solvers._real_monomials(scaled_coordinate(pts, scale), p)
+        sub = np.arange(0, 10001, 100)
+        ref = np.empty((sub.size, 2 * p + 1))
+        ref[:, 0] = 1.0
+        with mpmath.workdps(30):
+            for i, (x, y) in enumerate(pts[sub]):
+                zm, z = mpmath.mpc(1), mpmath.mpc(x, y) / scale
+                for m in range(1, p + 1):
+                    zm *= z
+                    ref[i, 2 * m - 1], ref[i, 2 * m] = float(zm.real), float(zm.imag)
+        assert np.all(np.abs(rows[sub] - ref) <= 2e-12 * np.max(np.abs(ref), axis=0))
 
     def test_non_circular_sources_rejected(self):
         sources = sample_sources(make_curve("ellipse"), 10)
