@@ -58,8 +58,13 @@ def fundamental_solution(x, y) -> float:
 def hurwitz_lerch_phi1(z: float, a: int) -> float:
     """Hurwitz-Lerch transcendent Phi(z, 1, a) = sum_{k>=0} z^k / (a + k).
 
-    Terms are accumulated until one falls below 1e-18 of the running sum,
-    then the collected terms are combined with exact summation.
+    Where it is accurate, Phi is the closed form kernel_tail(z, a - 1) / z^a:
+    O(a) work, tried when a is below the series' length.  It is accepted when
+    the tail is at least 1/16 of -log(1 - z), so that kernel_tail's rounding
+    of a few eps * |log(1 - z)| is at most 64 eps relative.  Otherwise the
+    series is summed TAIL_BLOCK terms at a time, each block exactly, until
+    a term falls below 1e-18 of the running sum: about log(1e-18)/log(z)
+    terms.  Memory is O(TAIL_BLOCK) either way.
     """
     if not 0.0 <= z < 1.0:
         raise ValueError("z must lie in [0, 1)")
@@ -68,22 +73,22 @@ def hurwitz_lerch_phi1(z: float, a: int) -> float:
         raise ValueError("a must be a positive integer")
     if z == 0.0:
         return 1.0 / a
-    terms = []
-    partial = 0.0
-    zk = 1.0
-    k = 0
+    if a - 1 < math.log(1e-18) / math.log(z):
+        tail = kernel_tail(z, a - 1)
+        if tail >= -math.log1p(-z) / 16.0:
+            return tail / z**a
+    blocks, partial, lo = [], 0.0, 0
     while True:
-        term = zk / (a + k)
-        terms.append(term)
-        partial += term
-        if term < 1e-18 * partial:
-            break
-        zk *= z
-        k += 1
-    return math.fsum(terms)
+        ks = np.arange(lo, lo + TAIL_BLOCK, dtype=float)
+        terms = z**ks / (a + ks)
+        blocks.append(math.fsum(terms.tolist()))
+        partial += blocks[-1]
+        if terms[-1] < 1e-18 * partial:
+            return math.fsum(blocks)
+        lo += TAIL_BLOCK
 
 
-TAIL_BLOCK = 4096    # terms per step of the tail walk in truncation_order
+TAIL_BLOCK = 4096    # terms per numpy block of the series sums in this module
 
 
 def kernel_tail(ratio: float, order: int) -> float:

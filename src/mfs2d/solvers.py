@@ -23,8 +23,9 @@ dispatch on the context): kernels and identity for direct, Re z^m, Im z^m and
 z = (x + iy)/R about the origin, R the maximum boundary radius.  All three
 evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
 A system matrix is the identity block at the collocation points, so an svd
-basis solves on any point set; its frame rows are replayed and contracted
-one block of points at a time, never stored.
+basis solves on any point set.  Every backend makes its feature rows
+arnoldi.CHUNK points at a time and contracts each block at once, so no
+(points x width) feature matrix is stored.
 """
 
 import math
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
+from . import arnoldi, linalg
 from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, RankDeficiencyError, SingularityError
 from .expansion import ExpansionSetup
@@ -174,17 +175,29 @@ class QrBasis:
 # --- direct backend ----------------------------------------------------------
 
 
-def _kernel(points: np.ndarray, sources: PointSet) -> np.ndarray:
-    """Kernel matrix -log|x_i - y_j| / (2 pi), (n_points, N); SingularityError on coincidence."""
-    d = np.hypot(
-        points[:, 0, None] - sources.points[None, :, 0],
-        points[:, 1, None] - sources.points[None, :, 1],
-    )
+def _kernel_rows(points: np.ndarray, sources: PointSet):
+    """Row writer fill(lo, d): d[i, j] = -log|x_(lo+i) - y_j| / (2 pi) for a (b, N) block d.
+
+    Its scratch block is allocated once.  A coincidence raises
+    SingularityError naming the global point index of the first pair.
+    """
     tol = _COINCIDENCE_RTOL * max(1.0, float(np.max(sources.radii)))
-    if np.min(d, initial=math.inf) < tol:
-        i, j = np.argwhere(d < tol)[0]
-        raise SingularityError(f"point {i} coincides with source {j}")
-    return -np.log(d) / (2.0 * math.pi)
+    sx, sy = sources.points[:, 0], sources.points[:, 1]
+    dy = np.empty((min(arnoldi.CHUNK, points.shape[0]), sources.count))
+
+    def fill(lo, d):
+        b = d.shape[0]
+        np.subtract(points[lo : lo + b, 0, None], sx, out=d)
+        np.subtract(points[lo : lo + b, 1, None], sy, out=dy[:b])
+        np.hypot(d, dy[:b], out=d)
+        if np.min(d, initial=math.inf) < tol:
+            i, j = np.argwhere(d < tol)[0]
+            raise SingularityError(f"point {lo + i} coincides with source {j}")
+        np.log(d, out=d)
+        np.negative(d, out=d)
+        np.divide(d, 2.0 * math.pi, out=d)
+
+    return fill
 
 
 def assemble_direct(sources: PointSet, colloc: PointSet) -> np.ndarray:
@@ -275,9 +288,10 @@ def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
 # --- qr backend --------------------------------------------------------------
 
 
-def _real_monomials(z: np.ndarray, degree: int) -> np.ndarray:
+def _real_monomials(z: np.ndarray, degree: int, out=None) -> np.ndarray:
     """[1, Re z, Im z, ..., Re z^p, Im z^p] from a running power, shape (n, 2p+1)."""
-    out = np.empty((z.shape[0], 2 * degree + 1))
+    if out is None:
+        out = np.empty((z.shape[0], 2 * degree + 1))
     out[:, 0] = 1.0
     zm = np.ones_like(z)
     for m in range(1, degree + 1):
@@ -364,17 +378,45 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
     column per function.  This is the one dispatch on the context: every
     basis is feature rows times its coordinates, and the coordinates are
     applied to coef before the rows are (coefficient-first).
+
+    Direct and qr rows are written arnoldi.CHUNK points at a time into one
+    buffer per call and contracted at once (direct rows with coef None go
+    straight into the result), so no (n, width) feature matrix is stored.
+    The kernel values are those of the whole matrix, bitwise; a contraction
+    can differ from the one-shot product by summation order, as when BLAS
+    handles a block of one point alone.
     """
-    if isinstance(context, PointSet):
-        rows = _kernel(points, context)
-        return rows if coef is None else rows @ coef
-    if isinstance(context, QrBasis):
-        rows = _real_monomials(scaled_coordinate(points, context.scale_radius), context.degree)
-        return rows @ (context.transform.T if coef is None else context.transform.T @ coef)
     if isinstance(context, SvdBasis):
         block = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
         return context.frame_times(points, block)
-    raise ValueError("context must be a PointSet, SvdBasis, or QrBasis")
+    points = np.asarray(points)
+    if isinstance(context, PointSet):
+        width, fill = context.count, _kernel_rows(points, context)
+        coords = None if coef is None else np.asarray(coef)
+    elif isinstance(context, QrBasis):
+        z = scaled_coordinate(points, context.scale_radius)
+        width = 2 * context.degree + 1
+
+        def fill(lo, rows):
+            _real_monomials(z[lo : lo + rows.shape[0]], context.degree, out=rows)
+
+        coords = context.transform.T if coef is None else context.transform.T @ coef
+    else:
+        raise ValueError("context must be a PointSet, SvdBasis, or QrBasis")
+    n = points.shape[0]
+    if coords is None:
+        out = np.empty((n, width))
+    else:
+        out = np.empty((n,) + coords.shape[1:], dtype=np.result_type(coords, float))
+        buf = np.empty((min(arnoldi.CHUNK, n), width))
+    for lo in range(0, n, arnoldi.CHUNK):
+        hi = min(lo + arnoldi.CHUNK, n)
+        if coords is None:
+            fill(lo, out[lo:hi])
+        else:
+            fill(lo, buf[: hi - lo])
+            np.matmul(buf[: hi - lo], coords, out=out[lo:hi])
+    return out
 
 
 _CONTEXT_TYPES = {"direct": PointSet, "qr": QrBasis, "svd": SvdBasis}

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -82,6 +83,30 @@ class TestHurwitzLerch:
     def test_geometric_bounds(self, z, a):
         val = hurwitz_lerch_phi1(z, a)
         assert 1 / a < val <= 1 / (a * (1 - z)) + 1e-15
+
+    @pytest.mark.parametrize("a", [1, 2, 1000])
+    def test_near_one_in_bounded_time(self, a):
+        # the series would need about 4e9 terms; the closed form needs a - 1
+        z = 1 - 1e-8
+        t0 = time.perf_counter()
+        got = hurwitz_lerch_phi1(z, a)
+        elapsed = time.perf_counter() - t0
+        expected = float(mpmath.lerchphi(mpmath.mpf(z), 1, a))
+        assert abs(got - expected) <= 1e-12 * expected
+        assert elapsed < 1.0
+
+    def test_summed_series_in_bounded_memory(self):
+        # a tail of 4e-3 of -log(1 - z) rules the closed form out: about 4e5 terms are summed
+        z, a = 1 - 1e-4, 30000
+        tracemalloc.start()
+        try:
+            got = hurwitz_lerch_phi1(z, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = float(mpmath.lerchphi(mpmath.mpf(z), 1, a))
+        assert abs(got - expected) <= 1e-13 * expected
+        assert peak < 2**20
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

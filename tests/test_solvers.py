@@ -31,7 +31,7 @@ from mfs2d import (
     solve_qr,
     solve_svd,
 )
-from mfs2d import solvers
+from mfs2d import arnoldi, solvers
 from mfs2d.arnoldi import arnoldi_vandermonde, evaluate_basis
 from mfs2d.bench import build_method_context, emit_basis_samples
 from mfs2d.geometry import PointSet, scaled_coordinate
@@ -542,3 +542,76 @@ class TestCoefficientFirstEvaluation:
             tracemalloc.stop()
         # not even the z half of the (10001, 2p+1) stacked frame
         assert peak < frame_bytes
+
+
+class TestBlockedEvaluation:
+    """Direct and qr rows are made arnoldi.CHUNK points at a time, never all at once."""
+
+    # the last of three blocks holds one point
+    count = 2 * arnoldi.CHUNK + 1
+
+    def boundary(self):
+        t = np.linspace(0.0, 2 * np.pi, self.count, endpoint=False)
+        return make_curve("star_kite").point(t)
+
+    @staticmethod
+    def assert_contraction(got, rows, coords):
+        # two summation orders of a width-term dot product differ by at most
+        # 2 * width * eps times the sum of the term moduli
+        bound = 2 * rows.shape[1] * np.finfo(float).eps * (np.abs(rows) @ np.abs(coords))
+        assert got.shape == bound.shape
+        assert np.all(np.abs(got - rows @ coords) <= bound)
+
+    def test_direct_matches_the_one_shot_kernel(self):
+        pts = self.boundary()
+        sources = sample_sources(make_curve("circle", radius=2.0), 40)
+        s = sources.points
+        d = np.hypot(pts[:, 0, None] - s[None, :, 0], pts[:, 1, None] - s[None, :, 1])
+        kernel = -np.log(d) / (2.0 * math.pi)
+        assert np.array_equal(solvers.basis_values(sources, pts), kernel)
+        coef = np.random.default_rng(5).standard_normal((sources.count, 2))
+        self.assert_contraction(solvers.basis_values(sources, pts, coef), kernel, coef)
+
+    def test_qr_matches_the_one_shot_monomial_product(self):
+        pts = self.boundary()
+        scale = max_boundary_radius(make_curve("star_kite"))
+        basis = build_qr_basis(sample_sources(make_curve("circle", radius=2.0), 40), 25, scale)
+        rows = solvers._real_monomials(scaled_coordinate(pts, scale), basis.degree)
+        self.assert_contraction(solvers.basis_values(basis, pts), rows, basis.transform.T)
+        coef = np.random.default_rng(6).standard_normal((basis.count, 2))
+        coords = basis.transform.T @ coef
+        self.assert_contraction(solvers.basis_values(basis, pts, coef), rows, coords)
+
+    def test_coincidence_names_the_global_point_index(self):
+        pts = self.boundary()
+        # row-major, the first coincident pair is (CHUNK + 5, source 1)
+        sources = point_set([pts[arnoldi.CHUNK + 9], pts[arnoldi.CHUNK + 5]])
+        message = rf"point {arnoldi.CHUNK + 5} coincides with source 1"
+        with pytest.raises(SingularityError, match=message):
+            solvers.basis_values(sources, pts)
+
+    @pytest.mark.parametrize(
+        "method, n, source_radius, domain, limit_mib",
+        [
+            ("direct", 1000, 1.1, "circle", 32),    # a direct_disk cell; 229.1 MiB when formed
+            ("qr", 500, 2.0, "star_kite", 8),       # a star_sweep cell; 38.7 MiB when formed
+        ],
+    )
+    def test_boundary_error_peak_memory(self, method, n, source_radius, domain, limit_mib):
+        cfg = ExperimentConfig(
+            domain=domain,
+            source="circle",
+            source_params={"radius": source_radius},
+            data="x2y3",
+            methods=(method,),
+            n_values=(n,),
+            timing=False,
+        )
+        record = run_single(cfg, method, n)[1]
+        tracemalloc.start()
+        try:
+            boundary_error(record, make_curve(domain), make_boundary_data("x2y3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
