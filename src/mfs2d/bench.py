@@ -36,6 +36,7 @@ from .geometry import (
     max_boundary_radius,
     sample_collocation,
     sample_sources,
+    series_ratio,
 )
 from .solvers import (
     BoundaryData,
@@ -290,9 +291,9 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
         _check_size(rows, 2 * setup.degree + 1, itemsize=16)
         return build_svd_basis(setup, colloc), setup.degree
     if method == "qr":
-        ratio = float(np.max(ws.boundary_radius / sources.radii))
         cap = (_max_width(rows) - 1) // 2    # largest p whose rows x (2p+1) features fit
-        p = expansion_degree(truncation_order(ratio, cfg.tol, cap), n + 1)    # qr needs 2p+1 > n
+        p0 = truncation_order(series_ratio(sources, ws.boundary_radius), cfg.tol, cap)
+        p = expansion_degree(p0, n + 1)    # qr needs 2p+1 > n
         if p > cap:    # the order search stops at cap + 1, so p is only a lower bound
             budget = FEATURE_BYTES_MAX / 2**30
             raise SizeLimitError(

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConstraintViolationError, SingularityError
-from .geometry import PointSet, scaled_coordinate
+from .errors import ConfigError, ConstraintViolationError, SingularityError
+from .geometry import PointSet, scaled_coordinate, series_ratio
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 
@@ -221,10 +221,14 @@ def expansion_matrix(
 
     Raises
     ------
+    ConfigError
+        `scale_radius` is not finite and positive.
     ConstraintViolationError
         Some source lies inside the origin-centered disk of radius
         `scale_radius`, carrying the (negative) margin.
     """
+    if not (math.isfinite(scale_radius) and scale_radius > 0.0):
+        raise ConfigError(f"scale radius must be finite and positive, got {scale_radius!r}")
     z = scaled_coordinate(sources.points, scale_radius)
     u = 1.0 / z    # R / y_j
     margin = 1.0 - float(np.max(np.abs(u)))
@@ -262,8 +266,7 @@ def setup_expansion(
     kernel tail left out, bounded by ratio^(p+1) * Phi(ratio, 1, p+1), can
     be far above tol (0.36 for ratio 1/1.03 and p = 24).
     """
-    ratio = float(np.max(scale_radius / sources.radii))
-    p0 = truncation_order(ratio, tol, max_degree)
+    p0 = truncation_order(series_ratio(sources, scale_radius), tol, max_degree)
     p = expansion_degree(p0, n_basis)
     if max_degree is not None and p > max_degree:
         p = int(max_degree)

@@ -399,8 +399,13 @@ def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
     return max(float(norms[k]), fc, fd)
 
 
+def series_ratio(sources: PointSet, scale_radius: float) -> float:
+    """Kernel series ratio q = max_j (scale_radius / rho_j); q < 1 separates the sources."""
+    return float(np.max(scale_radius / sources.radii))
+
+
 def check_source_constraint(sources: PointSet, boundary_radius: float) -> float:
-    """Separation margin 1 - max_j (boundary_radius / rho_j).
+    """Separation margin 1 - series_ratio(sources, boundary_radius).
 
     Positive margin means every source lies outside the closed origin-centered
     disk that contains the boundary, which guarantees convergence of the
@@ -408,4 +413,4 @@ def check_source_constraint(sources: PointSet, boundary_radius: float) -> float:
     """
     if boundary_radius <= 0.0:
         raise ValueError("boundary_radius must be positive")
-    return 1.0 - float(np.max(boundary_radius / sources.radii))
+    return 1.0 - series_ratio(sources, boundary_radius)

@@ -7,12 +7,13 @@ its boundary error.
 direct  -- kernel basis as-is; matrix entry (i, j) is the fundamental
            solution at collocation point i, source j.  Simple and accurate
            until its conditioning blows up exponentially with N.
-qr      -- sources restricted to a common circle; the trigonometric
-           expansion matrix is QR-factorized and Hadamard-rescaled by the
-           ratio of boundary radius to source radius, so the basis change
-           stays well-scaled.  Conditioning grows more slowly than direct
-           but still exponentially off the disk.
-svd     -- sources anywhere outside the scaled boundary disk; the kernel
+qr      -- MFS-QR (Antunes, Adv. Comput. Math. 44, 2018) on the kernel
+           expansion matrix: sources on a common circle, the matrix's real
+           form is QR-factorized and each row of the triangular factor is
+           divided by its scale (R/rho)^m / m, so the basis change stays
+           well-scaled.  A scale that underflows is refused.  Conditioning
+           grows more slowly than direct but still exponentially off the disk.
+svd     -- sources anywhere outside the scaled boundary disk; the same
            expansion matrix is pushed through the Arnoldi coupling and an
            SVD; the rows of the right singular-vector block define a basis
            whose collocation matrix stays O(1)-conditioned at any N.
@@ -37,8 +38,8 @@ import numpy as np
 
 from . import arnoldi, linalg
 from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
-from .errors import ConfigError, RankDeficiencyError, SingularityError
-from .expansion import ExpansionSetup
+from .errors import ConfigError, DegenerateSystemError, RankDeficiencyError, SingularityError
+from .expansion import ExpansionSetup, expansion_matrix
 from .geometry import BoundaryCurve, PointSet, sample_collocation, scaled_coordinate
 
 _COINCIDENCE_RTOL = 1e-14
@@ -162,7 +163,7 @@ class QrBasis:
     Basis function n at (x, y) is row n of `transform` applied to
     [1, Re z, Im z, ..., Re z^p, Im z^p] with z = (x + iy) / scale_radius
     (R, the maximum boundary radius), so every monomial is O(1) on the
-    boundary and the R^m growth sits in the Hadamard scale (R/rho)^m / m
+    boundary and the R^m growth sits in the row scales (R/rho)^m / m
     of `transform` instead.
     """
 
@@ -302,32 +303,33 @@ def _real_monomials(z: np.ndarray, degree: int, out=None) -> np.ndarray:
 
 
 def build_qr_basis(sources: PointSet, degree: int, scale_radius: float = 1.0) -> QrBasis:
-    """QR-and-rescale basis for sources on a common origin-centered circle.
+    """MFS-QR basis for sources on a common origin-centered circle of radius rho.
 
-    The trigonometric expansion matrix B (rows -1, -cos(m a_j), -sin(m a_j))
-    is QR-factorized; the triangular factor is Hadamard-multiplied by the
-    scale ratios d_m / d_k with d_0 = log(eps), d_m = (R eps)^m / m (eps the
-    reciprocal source radius, R = `scale_radius`), which keeps the basis
-    change span-preserving while flattening the kernel's geometric decay.
-    The transform acts on the monomials Re z^m, Im z^m of z = (x + iy)/R,
-    so the system matrix columns stay O(1) on a boundary of maximum radius
-    R; R = 1 gives the raw monomials, the right scale for domains inside
-    the unit disk.
+    This is the MFS-QR of Antunes, "Reducing the ill conditioning in the
+    method of fundamental solutions", Adv. Comput. Math. 44 (2018), on the
+    expansion matrix svd also uses.  Its real form [log|y_j|, 2 Re b_jm,
+    -2 Im b_jm] (b_jm = -u_j^m / (2m)) is the trigonometric matrix
+    [-1, -cos(m a_j), -sin(m a_j)] times diag(d), d_0 = log(1/rho) and
+    d_m = (R/rho)^m / m (R = `scale_radius`).  It is QR-factorized and row k
+    of the triangular factor is divided by d_k, which flattens the kernel's
+    geometric decay.  The transform acts on Re z^m, Im z^m of z = (x + iy)/R,
+    so the system matrix columns stay O(1) on a boundary of maximum radius R.
 
     Raises
     ------
     ConfigError
         Sources not on a common circle (relative radius spread > 1e-9),
-        source radius 1 (the constant-block scale log(eps) vanishes), or a
-        scale radius that is not finite and positive.
+        source radius 1 (d_0 vanishes), or a scale radius that is not finite
+        and positive.
+    ConstraintViolationError
+        Some source inside the radius-R disk.
+    DegenerateSystemError
+        The last row scale d_(N-1) underflows: sources too far for N.
     """
     n = sources.count
     p = int(degree)
     if 2 * p + 1 <= n:
         raise ValueError(f"degree {p} too small for {n} sources (need 2p+1 > N)")
-    scale_radius = float(scale_radius)
-    if not (math.isfinite(scale_radius) and scale_radius > 0.0):
-        raise ConfigError(f"qr scale radius must be finite and positive, got {scale_radius!r}")
     radii = sources.radii
     radius = float(np.mean(radii))
     if np.max(np.abs(radii - radius)) > 1e-9 * radius:
@@ -335,26 +337,14 @@ def build_qr_basis(sources: PointSet, degree: int, scale_radius: float = 1.0) ->
     eps = 1.0 / radius
     if eps == 1.0:
         raise ConfigError("qr backend is undefined for source radius exactly 1")
-
-    m = np.arange(1, p + 1)
-    b = np.empty((n, 2 * p + 1))
-    b[:, 0] = -1.0
-    ang = np.outer(sources.angles, m)
-    b[:, 1::2] = -np.cos(ang)
-    b[:, 2::2] = -np.sin(ang)
-    _, r = np.linalg.qr(b)    # reduced: r is (N, 2p+1)
-
-    d = np.empty(2 * p + 1)
-    d[0] = math.log(eps)
-    d[1::2] = (scale_radius * eps) ** m / m
-    d[2::2] = d[1::2]
-    scale = d[None, :] / d[:n, None]
-    return QrBasis(
-        transform=scale * r,
-        scale_radius=scale_radius,
-        count=n,
-        degree=p,
-    )
+    e = expansion_matrix(sources, scale_radius, p).matrix
+    real = np.column_stack([e[:, 0].real, (2 * np.conj(e[:, 1 : p + 1])).view(float)])
+    r = np.linalg.qr(real, mode="r")    # (N, 2p+1)
+    m = np.arange(2, n + 1) // 2    # the degree of rows 1 .. N-1
+    d = np.concatenate(([math.log(eps)], (scale_radius * eps) ** m / m))
+    if abs(d[-1]) < np.finfo(float).tiny:
+        raise DegenerateSystemError(f"qr row scale (R/rho)^m/m underflows at m = {n // 2}")
+    return QrBasis(transform=r / d[:, None], scale_radius=float(scale_radius), count=n, degree=p)
 
 
 def assemble_qr_system(basis: QrBasis, colloc: PointSet) -> np.ndarray:

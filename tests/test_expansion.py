@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from mfs2d import (
     MACHINE_EPS,
+    ConfigError,
     ConstraintViolationError,
     SingularityError,
     expansion_degree,
@@ -333,6 +335,14 @@ class TestExpansionMatrix:
         with pytest.raises(ConstraintViolationError) as err:
             expansion_matrix(sources, 1.0, 8)
         assert err.value.margin == pytest.approx(1 - 1 / 0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.5, 0.0])
+    def test_bad_scale_radius_rejected_before_any_arithmetic(self, bad):
+        sources = sample_sources(make_curve("circle", radius=2.0), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="scale radius must be finite and positive"):
+                expansion_matrix(sources, bad, 4)
 
     def test_degree_too_small(self):
         sources = sample_sources(make_curve("circle", radius=2.0), 9)

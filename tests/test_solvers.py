@@ -19,6 +19,7 @@ from mfs2d import (
     build_qr_basis,
     build_svd_basis,
     evaluate_solution,
+    expansion_matrix,
     lstsq,
     make_boundary_data,
     make_curve,
@@ -268,21 +269,39 @@ class TestSvdBasis:
 
 
 class TestQr:
-    def test_scale_ratio_first_row(self):
-        sources = sample_sources(make_curve("circle", radius=2.0), 9)
-        p = 12
-        basis = build_qr_basis(sources, p)
+    @staticmethod
+    def trig_oracle(rho, n, p):
+        """Sources on the radius-rho circle, the trigonometric matrix B and the scales d (R = 1)."""
+        sources = sample_sources(make_curve("circle", radius=rho), n)
         m = np.arange(1, p + 1)
-        b = np.empty((9, 2 * p + 1))
+        b = np.empty((n, 2 * p + 1))
         b[:, 0] = -1.0
         ang = np.outer(sources.angles, m)
         b[:, 1::2] = -np.cos(ang)
         b[:, 2::2] = -np.sin(ang)
-        r = np.linalg.qr(b)[1]
-        eps = 0.5
-        expected = eps**m / (m * math.log(eps))
-        ratio = basis.transform[0, 1::2] / r[0, 1::2]
-        assert np.allclose(ratio, expected, rtol=1e-12)
+        d = np.empty(2 * p + 1)
+        d[0] = math.log(1.0 / rho)
+        d[1::2] = d[2::2] = (1.0 / rho) ** m / m
+        return sources, b, d
+
+    def test_expansion_real_form_is_the_trigonometric_matrix_times_the_scales(self):
+        # log|x - y_j| = log|y_j| + sum_m 2 Re(b_jm z^m), b_jm = -u_j^m / (2m)
+        sources, b, d = self.trig_oracle(2.0, 9, 12)
+        e = expansion_matrix(sources, 1.0, 12).matrix
+        real = np.column_stack([e[:, 0].real, (2 * np.conj(e[:, 1:13])).view(float)])
+        # |B| <= 1, so column j is O(|d_j|); measured 4.6e-15 |d_j|
+        assert np.all(np.abs(real - b * d) <= 1e-14 * np.abs(d))
+
+    def test_scale_ratio_first_row(self):
+        # the transform is B's R factor Hadamard-scaled by d_j / d_k.  Compared
+        # row-relatively: R_B[0, m] is roundoff for equispaced sources, so an
+        # entrywise ratio of two transforms compares roundoff with roundoff
+        for rho, n, p in [(2.0, 9, 12), (2.0, 40, 25), (2.0, 200, 100), (1.1, 100, 60)]:
+            sources, b, d = self.trig_oracle(rho, n, p)
+            expected = d[None, :] / d[:n, None] * np.linalg.qr(b)[1]
+            got = build_qr_basis(sources, p).transform
+            err = np.max(np.abs(got - expected), axis=1)
+            assert np.all(err <= 1e-13 * np.max(np.abs(expected), axis=1))
 
     def test_high_degree_rows_match_mpmath(self):
         # oracle: Re z^m, Im z^m of z = (x + iy)/R in 30-digit arithmetic
@@ -483,18 +502,6 @@ def star_cell(method, n):
 
 
 class TestCoefficientFirstEvaluation:
-    def test_qr_boundary_error_never_forms_the_basis_matrix(self):
-        record = star_cell("qr", 500)
-        monomial_bytes = 10001 * (2 * record.context.degree + 1) * 8
-        tracemalloc.start()
-        try:
-            boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the (10001, 2p+1) monomials, not also a (10001, N) basis matrix
-        assert peak < 1.5 * monomial_bytes
-
     @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
     def test_unit_coefficients_evaluate_to_the_dumped_traces(self, method, tmp_path):
         domain = make_curve("star_kite")
