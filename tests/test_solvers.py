@@ -502,6 +502,18 @@ def star_cell(method, n):
 
 
 class TestCoefficientFirstEvaluation:
+    def test_qr_boundary_error_never_forms_the_basis_matrix(self):
+        record = star_cell("qr", 500)
+        monomial_bytes = 10001 * (2 * record.context.degree + 1) * 8
+        tracemalloc.start()
+        try:
+            boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (10001, 2p+1) monomials, not also a (10001, N) basis matrix
+        assert peak < 1.5 * monomial_bytes
+
     @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
     def test_unit_coefficients_evaluate_to_the_dumped_traces(self, method, tmp_path):
         domain = make_curve("star_kite")
