@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, ConstraintViolationError, DegenerateSystemError
 from .errors import InsufficientDataError, NumericalError, SizeLimitError
-from .expansion import MACHINE_EPS, expansion_degree, setup_expansion, truncation_order
+from .expansion import MACHINE_EPS, expansion_degree, expansion_matrix, setup_expansion
+from .expansion import truncation_order
 from .geometry import (
     BoundaryCurve,
     PointSet,
@@ -300,7 +301,7 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, 
                 f"{rows} x (2p+1) feature matrix with p > {cap} needs more than "
                 f"{budget:g} GiB, over the {budget:g} GiB budget"
             )
-        return build_qr_basis(sources, p, scale_radius=ws.boundary_radius), p
+        return build_qr_basis(expansion_matrix(sources, ws.boundary_radius, p, base_order=p0)), p
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintViolationError, SingularityError
+from .errors import ConstraintViolationError, SingularityError
 from .geometry import PointSet, scaled_coordinate, series_ratio
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
@@ -115,11 +115,12 @@ def truncation_order(ratio: float, tol: float, cap: Optional[int] = None) -> int
     q^(K+1)/((K+1)(1-q)) < eps*tol down; the first running sum above tol is
     tail(k-1), so p0 = k.  Blocks of TAIL_BLOCK terms are sequential cumsums
     from the running tail, so p0 does not depend on the block size.  Work
-    O(K - p0), memory O(TAIL_BLOCK).  K - p0 grows like 1/(1-q), so when a
-    `cap` below K is given, kernel_tail(q, cap) is checked first: if it is
-    above tol by more than its rounding, p0 > cap and cap + 1 is returned
-    without the walk (the caller's degree cap binds whatever p0 is).  Work
-    is then O(min(K, cap)).
+    O(K - p0), memory O(TAIL_BLOCK).  K - p0 grows like 1/(1-q), so a `cap`
+    below K is checked first, in closed form: if kernel_tail(q, cap) tops tol
+    by more than its rounding 8 eps |log(1-q)|, p0 > cap and cap + 1 is
+    returned (the caller's cap binds whatever p0 is); else the walk starts at
+    the cap from that tail when the rounding is at most the eps*tol*(K - cap)
+    the walk would pile up above the cap.  Work is then O(min(K, cap)).
     """
     if not 0.0 < ratio < 1.0:
         raise ConstraintViolationError(
@@ -131,10 +132,14 @@ def truncation_order(ratio: float, tol: float, cap: Optional[int] = None) -> int
     log_left = math.log(MACHINE_EPS) + math.log(tol) + math.log1p(-ratio)
     k = max(1, math.ceil(log_left / math.log(ratio)) - 1)
     # p0 <= K, so only a cap below K can bind; then the cap terms are the cheaper sum
-    if cap is not None and cap < k:
-        if kernel_tail(ratio, cap) > tol + 8.0 * MACHINE_EPS * -math.log1p(-ratio):
-            return int(cap) + 1
     tail = 0.0
+    if cap is not None and cap < k:
+        cap_tail = kernel_tail(ratio, cap)
+        rounding = 8.0 * MACHINE_EPS * -math.log1p(-ratio)
+        if cap_tail > tol + rounding:
+            return int(cap) + 1
+        if rounding <= MACHINE_EPS * tol * (k - cap):
+            k, tail = int(cap), cap_tail
     while k >= 1:
         ks = np.arange(k, max(k - TAIL_BLOCK, 0), -1, dtype=float)
         sums = np.cumsum(np.concatenate(([tail], ratio**ks / ks)))[1:]
@@ -159,14 +164,14 @@ def expansion_degree(p0: int, n_basis: int) -> int:
     return max(int(p0), n_basis // 2)    # ceil((n-1)/2) == n//2
 
 
-def _powers(z: np.ndarray, p: int) -> np.ndarray:
-    """Columns z^1 .. z^p, shape (len(z), p)."""
-    out = np.empty((z.shape[0], p), dtype=complex)
+def _powers(z: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Columns z^1 .. z^p from a running power, shape (len(z), p), into `out` if given."""
+    out = np.empty((z.shape[0], p), dtype=complex) if out is None else out
     if p == 0:
         return out
     out[:, 0] = z
     for m in range(1, p):
-        out[:, m] = out[:, m - 1] * z
+        out[:, m] = out[:, m - 1] * z    # multiply(out=) into a strided column rounds otherwise
     return out
 
 
@@ -227,13 +232,11 @@ def expansion_matrix(
         Some source lies inside the origin-centered disk of radius
         `scale_radius`, carrying the (negative) margin.
     """
-    if not (math.isfinite(scale_radius) and scale_radius > 0.0):
-        raise ConfigError(f"scale radius must be finite and positive, got {scale_radius!r}")
-    z = scaled_coordinate(sources.points, scale_radius)
-    u = 1.0 / z    # R / y_j
-    margin = 1.0 - float(np.max(np.abs(u)))
+    margin = 1.0 - series_ratio(sources, scale_radius)
     if margin <= 0.0:
         raise ConstraintViolationError(margin)
+    z = scaled_coordinate(sources.points, scale_radius)
+    u = 1.0 / z    # R / y_j
     n = sources.count
     if 2 * degree + 1 < n:
         raise ValueError(f"degree {degree} too small for {n} sources (need 2p+1 >= N)")

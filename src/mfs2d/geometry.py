@@ -401,6 +401,8 @@ def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
 
 def series_ratio(sources: PointSet, scale_radius: float) -> float:
     """Kernel series ratio q = max_j (scale_radius / rho_j); q < 1 separates the sources."""
+    if not (math.isfinite(scale_radius) and scale_radius > 0.0):
+        raise ConfigError(f"scale radius must be finite and positive, got {scale_radius!r}")
     return float(np.max(scale_radius / sources.radii))
 
 
@@ -411,6 +413,4 @@ def check_source_constraint(sources: PointSet, boundary_radius: float) -> float:
     disk that contains the boundary, which guarantees convergence of the
     log-kernel series expansion on the domain.
     """
-    if boundary_radius <= 0.0:
-        raise ValueError("boundary_radius must be positive")
     return 1.0 - series_ratio(sources, boundary_radius)

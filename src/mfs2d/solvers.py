@@ -39,7 +39,7 @@ import numpy as np
 from . import arnoldi, linalg
 from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, DegenerateSystemError, RankDeficiencyError, SingularityError
-from .expansion import ExpansionSetup, expansion_matrix
+from .expansion import ExpansionSetup, _powers
 from .geometry import BoundaryCurve, PointSet, sample_collocation, scaled_coordinate
 
 _COINCIDENCE_RTOL = 1e-14
@@ -162,9 +162,10 @@ class QrBasis:
 
     Basis function n at (x, y) is row n of `transform` applied to
     [1, Re z, Im z, ..., Re z^p, Im z^p] with z = (x + iy) / scale_radius
-    (R, the maximum boundary radius), so every monomial is O(1) on the
-    boundary and the R^m growth sits in the row scales (R/rho)^m / m
-    of `transform` instead.
+    (R, the maximum boundary radius): 1, then the float view of the complex
+    powers z^1 .. z^p, the layout build_qr_basis takes of the expansion
+    matrix.  Every monomial is O(1) on the boundary and the R^m growth sits
+    in the row scales (R/rho)^m / m of `transform` instead.
     """
 
     transform: np.ndarray    # (N, 2p+1) real
@@ -290,61 +291,56 @@ def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
 
 
 def _real_monomials(z: np.ndarray, degree: int, out=None) -> np.ndarray:
-    """[1, Re z, Im z, ..., Re z^p, Im z^p] from a running power, shape (n, 2p+1)."""
-    if out is None:
-        out = np.empty((z.shape[0], 2 * degree + 1))
+    """[1, Re z, Im z, ..., Re z^p, Im z^p]: 1, then the float view of _powers, shape (n, 2p+1)."""
+    out = np.empty((z.shape[0], 2 * degree + 1)) if out is None else out
     out[:, 0] = 1.0
-    zm = np.ones_like(z)
-    for m in range(1, degree + 1):
-        zm *= z
-        out[:, 2 * m - 1] = zm.real
-        out[:, 2 * m] = zm.imag
+    _powers(z, degree, out=out[:, 1:].view(complex))
     return out
 
 
-def build_qr_basis(sources: PointSet, degree: int, scale_radius: float = 1.0) -> QrBasis:
+def build_qr_basis(setup: ExpansionSetup) -> QrBasis:
     """MFS-QR basis for sources on a common origin-centered circle of radius rho.
 
     This is the MFS-QR of Antunes, "Reducing the ill conditioning in the
     method of fundamental solutions", Adv. Comput. Math. 44 (2018), on the
-    expansion matrix svd also uses.  Its real form [log|y_j|, 2 Re b_jm,
-    -2 Im b_jm] (b_jm = -u_j^m / (2m)) is the trigonometric matrix
-    [-1, -cos(m a_j), -sin(m a_j)] times diag(d), d_0 = log(1/rho) and
-    d_m = (R/rho)^m / m (R = `scale_radius`).  It is QR-factorized and row k
+    expansion matrix svd also uses: `setup` carries the sources, the degree
+    p and R (the scale radius) as build_svd_basis takes them.  Its real form
+    [log|y_j|, 2 Re b_jm, -2 Im b_jm] (b_jm = -u_j^m / (2m)) is the
+    trigonometric matrix [-1, -cos(m a_j), -sin(m a_j)] times diag(d),
+    d_0 = log(1/rho) and d_m = (R/rho)^m / m.  It is QR-factorized and row k
     of the triangular factor is divided by d_k, which flattens the kernel's
     geometric decay.  The transform acts on Re z^m, Im z^m of z = (x + iy)/R,
     so the system matrix columns stay O(1) on a boundary of maximum radius R.
 
     Raises
     ------
+    ValueError
+        2p+1 <= N: the monomial space must be wider than the basis.
     ConfigError
-        Sources not on a common circle (relative radius spread > 1e-9),
-        source radius 1 (d_0 vanishes), or a scale radius that is not finite
-        and positive.
-    ConstraintViolationError
-        Some source inside the radius-R disk.
+        Sources not on a common circle (relative radius spread > 1e-9) or
+        source radius 1 (d_0 vanishes).
     DegenerateSystemError
         The last row scale d_(N-1) underflows: sources too far for N.
     """
-    n = sources.count
-    p = int(degree)
+    n = setup.count
+    p = setup.degree
     if 2 * p + 1 <= n:
         raise ValueError(f"degree {p} too small for {n} sources (need 2p+1 > N)")
-    radii = sources.radii
+    radii = setup.sources.radii
     radius = float(np.mean(radii))
     if np.max(np.abs(radii - radius)) > 1e-9 * radius:
         raise ConfigError("qr backend requires all sources on a common circle")
     eps = 1.0 / radius
     if eps == 1.0:
         raise ConfigError("qr backend is undefined for source radius exactly 1")
-    e = expansion_matrix(sources, scale_radius, p).matrix
+    e = setup.matrix
     real = np.column_stack([e[:, 0].real, (2 * np.conj(e[:, 1 : p + 1])).view(float)])
     r = np.linalg.qr(real, mode="r")    # (N, 2p+1)
     m = np.arange(2, n + 1) // 2    # the degree of rows 1 .. N-1
-    d = np.concatenate(([math.log(eps)], (scale_radius * eps) ** m / m))
+    d = np.concatenate(([math.log(eps)], (setup.scale_radius * eps) ** m / m))
     if abs(d[-1]) < np.finfo(float).tiny:
         raise DegenerateSystemError(f"qr row scale (R/rho)^m/m underflows at m = {n // 2}")
-    return QrBasis(transform=r / d[:, None], scale_radius=float(scale_radius), count=n, degree=p)
+    return QrBasis(transform=r / d[:, None], scale_radius=setup.scale_radius, count=n, degree=p)
 
 
 def assemble_qr_system(basis: QrBasis, colloc: PointSet) -> np.ndarray:

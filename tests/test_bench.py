@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfs2d import (
+    MACHINE_EPS,
     ConfigError,
     ExperimentConfig,
     InsufficientDataError,
@@ -456,12 +457,14 @@ def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
     n=st.integers(1, 40),
     m_rule=st.integers(1, 3),
     error_samples=st.integers(2, 64),
+    tol=st.sampled_from([MACHINE_EPS, 1e-6, 10.0]),
 )
 @example(    # the row scale (R/rho)^2 / 2 underflows
-    domain="star_kite", radius=1e300, cx=0.0, cy=0.0, method="qr", n=4, m_rule=2, error_samples=64
+    domain="star_kite", radius=1e300, cx=0.0, cy=0.0, method="qr", n=4, m_rule=2,
+    error_samples=64, tol=MACHINE_EPS,
 )
 def test_every_cell_ends_as_a_row_or_a_typed_error(
-    domain, radius, cx, cy, method, n, m_rule, error_samples
+    domain, radius, cx, cy, method, n, m_rule, error_samples, tol
 ):
     cfg = config(
         domain=domain,
@@ -470,6 +473,7 @@ def test_every_cell_ends_as_a_row_or_a_typed_error(
         source_params={"radius": radius, "cx": cx, "cy": cy},
         m_rule=m_rule,
         error_samples=error_samples,
+        tol=tol,
     )
     try:
         with warnings.catch_warnings():

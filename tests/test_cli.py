@@ -194,6 +194,25 @@ def test_console_entry_point(config_path):
     assert result.stdout.startswith(CSV_HEADER)
 
 
+def test_near_boundary_large_tolerance_solve_returns_a_row(tmp_path):
+    # q = 1 - 1e-9 and tol = 20: the order search walked down from ~5e10 terms
+    # instead of from the degree cap 99, and the solve hung
+    path = tmp_path / "near.cfg"
+    path.write_text(
+        CONFIG.replace("radius = 2", "radius = 1.000000001").replace(
+            "methods = direct,svd\nN = 6,8", "methods = svd\nN = 100\ntol = 20"
+        )
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "mfs2d.cli", "solve", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[1].startswith("svd,100,200,50,")
+
+
 SHIPPED_CONFIGS = sorted(
     str(p) for p in (pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg")
 )

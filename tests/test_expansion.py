@@ -14,6 +14,7 @@ from mfs2d import (
     ConfigError,
     ConstraintViolationError,
     SingularityError,
+    check_source_constraint,
     expansion_degree,
     expansion_matrix,
     fundamental_solution,
@@ -28,7 +29,7 @@ from mfs2d import (
     truncation_order,
 )
 from mfs2d import expansion
-from mfs2d.geometry import PointSet
+from mfs2d.geometry import PointSet, series_ratio
 
 
 def single_source(x, y):
@@ -219,7 +220,7 @@ class TestCappedTruncationOrder:
     @settings(max_examples=300, deadline=None)
     @given(
         q=st.floats(1e-6, 0.999),
-        tol=st.sampled_from([MACHINE_EPS, 1e-12, 1e-6, 0.1]),
+        tol=st.sampled_from([MACHINE_EPS, 1e-12, 1e-6, 0.1, 1.0, 10.0]),
         shift=st.integers(-50, 50),
     )
     def test_cap_changes_nothing_below_it(self, q, tol, shift):
@@ -236,6 +237,14 @@ class TestCappedTruncationOrder:
         # the uncapped walk would take O(1 / (1 - q)) terms
         assert truncation_order(q, MACHINE_EPS, 7) == 8
         assert truncation_order(q, MACHINE_EPS, 6710) == 6711
+
+    @pytest.mark.parametrize("q, p0", [(1 - 1e-7, 255), (1 - 1e-6, 25)])
+    def test_cap_above_the_order_starts_the_walk_at_the_cap(self, q, p0):
+        # p0 <= cap < K ~ 50 / (1 - q): a walk from K would add ~5e8 terms at q = 1 - 1e-7
+        t0 = time.perf_counter()
+        assert truncation_order(q, 10.0, 999) == p0
+        assert time.perf_counter() - t0 < 0.5
+        assert expansion.kernel_tail(q, p0) <= 10.0 < expansion.kernel_tail(q, p0 - 1)
 
     def test_setup_records_the_binding_cap(self):
         sources = PointSet(points=np.array([[1.0 + 1e-9, 0.0]]), params=np.zeros(1))
@@ -336,13 +345,21 @@ class TestExpansionMatrix:
             expansion_matrix(sources, 1.0, 8)
         assert err.value.margin == pytest.approx(1 - 1 / 0.8, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [math.nan, -1.5, 0.0])
+    @pytest.mark.parametrize("bad", [math.nan, -1.5, 0.0, math.inf])
     def test_bad_scale_radius_rejected_before_any_arithmetic(self, bad):
+        # one check, in series_ratio, for every entry point that takes R
         sources = sample_sources(make_curve("circle", radius=2.0), 4)
+        calls = (
+            lambda r: series_ratio(sources, r),
+            lambda r: check_source_constraint(sources, r),
+            lambda r: expansion_matrix(sources, r, 4),
+            lambda r: setup_expansion(sources, r, 4),
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="scale radius must be finite and positive"):
-                expansion_matrix(sources, bad, 4)
+            for call in calls:
+                with pytest.raises(ConfigError, match="scale radius must be finite and positive"):
+                    call(bad)
 
     def test_degree_too_small(self):
         sources = sample_sources(make_curve("circle", radius=2.0), 9)

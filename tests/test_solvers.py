@@ -299,7 +299,7 @@ class TestQr:
         for rho, n, p in [(2.0, 9, 12), (2.0, 40, 25), (2.0, 200, 100), (1.1, 100, 60)]:
             sources, b, d = self.trig_oracle(rho, n, p)
             expected = d[None, :] / d[:n, None] * np.linalg.qr(b)[1]
-            got = build_qr_basis(sources, p).transform
+            got = build_qr_basis(expansion_matrix(sources, 1.0, p)).transform
             err = np.max(np.abs(got - expected), axis=1)
             assert np.all(err <= 1e-13 * np.max(np.abs(expected), axis=1))
 
@@ -324,18 +324,18 @@ class TestQr:
     def test_non_circular_sources_rejected(self):
         sources = sample_sources(make_curve("ellipse"), 10)
         with pytest.raises(ConfigError):
-            build_qr_basis(sources, 8)
+            build_qr_basis(expansion_matrix(sources, 1.0, 8))
 
     def test_degree_must_exceed_basis(self):
         sources = sample_sources(make_curve("circle", radius=2.0), 9)
         with pytest.raises(ValueError):
-            build_qr_basis(sources, 4)
+            build_qr_basis(expansion_matrix(sources, 1.0, 4))
 
     def test_exact_representation_of_one_kernel(self):
         domain = make_curve("star_kite")
         sources = sample_sources(make_curve("circle", radius=2.0), 12)
         colloc = sample_collocation(domain, 24)
-        basis = build_qr_basis(sources, 60)
+        basis = build_qr_basis(expansion_matrix(sources, 1.0, 60))
         a = assemble_qr_system(basis, colloc)
         ystar = sources.points[5]
         g = BoundaryData("kernel5", lambda x, y: -np.log(np.hypot(x - ystar[0], y - ystar[1])) / (2 * np.pi))
@@ -363,7 +363,7 @@ class TestQrBoundaryScaling:
     def test_bad_scale_radius_rejected(self, bad):
         sources = sample_sources(make_curve("circle", radius=2.0), 9)
         with pytest.raises(ConfigError):
-            build_qr_basis(sources, 12, scale_radius=bad)
+            build_qr_basis(expansion_matrix(sources, bad, 12))
 
     def test_error_keeps_falling_past_n150_on_star_kite(self):
         # with raw monomials the column norms spread by R^p (R ~ 1.43) and
@@ -386,7 +386,7 @@ class TestQrBoundaryScaling:
         sources = sample_sources(make_curve("circle", radius=2.0), 20)
         colloc = sample_collocation(domain, 40)
         scale = max_boundary_radius(domain)
-        basis = build_qr_basis(sources, 30, scale_radius=scale)
+        basis = build_qr_basis(expansion_matrix(sources, scale, 30))
         assert basis.scale_radius == scale
         a = assemble_qr_system(basis, colloc)
         assert a.dtype == np.float64
@@ -420,7 +420,7 @@ class TestEvaluation:
         svd_basis, _, svd_record, colloc = svd_pipeline(domain, source, 12, data)
         g = data.values(colloc.points)
         sources = sample_sources(source, 12)
-        qr_basis = build_qr_basis(sources, 12)
+        qr_basis = build_qr_basis(expansion_matrix(sources, 1.0, 12))
         qr_record = solve_qr(qr_basis, assemble_qr_system(qr_basis, colloc), g)
         direct_record = solve_direct(assemble_direct(sources, colloc), g, sources)
         for record, wrong in [
@@ -594,7 +594,8 @@ class TestBlockedEvaluation:
     def test_qr_matches_the_one_shot_monomial_product(self):
         pts = self.boundary()
         scale = max_boundary_radius(make_curve("star_kite"))
-        basis = build_qr_basis(sample_sources(make_curve("circle", radius=2.0), 40), 25, scale)
+        sources = sample_sources(make_curve("circle", radius=2.0), 40)
+        basis = build_qr_basis(expansion_matrix(sources, scale, 25))
         rows = solvers._real_monomials(scaled_coordinate(pts, scale), basis.degree)
         self.assert_contraction(solvers.basis_values(basis, pts), rows, basis.transform.T)
         coef = np.random.default_rng(6).standard_normal((basis.count, 2))
