@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintViolationError, DegenerateSystemError
+from .errors import ConfigError, DegenerateSystemError
 from .errors import InsufficientDataError, NumericalError, SizeLimitError
 from .expansion import MACHINE_EPS, expansion_degree, expansion_matrix, setup_expansion
 from .expansion import truncation_order
@@ -273,15 +273,13 @@ def _sample(cfg: ExperimentConfig, ws: _Workspace, n: int):
     return colloc, sources, check_source_constraint(sources, ws.boundary_radius)
 
 
-def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources, margin: float):
+def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources):
     """Evaluation context and expansion degree (0 for direct) of one cell."""
     n = sources.count
     rows = max(cfg.error_samples, colloc.count)
     if method == "direct":
         return sources, 0    # _sample checked the rows x N kernel matrix
     if method == "svd":
-        if margin <= 0.0:
-            raise ConstraintViolationError(margin)
         m = colloc.count
         if 2 * ((m - 1) // 2) + 1 < n:
             raise ConfigError(
@@ -311,7 +309,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspa
     colloc, sources, margin = _sample(cfg, ws, n)
 
     t0 = time.perf_counter()
-    context, p = _build(cfg, method, ws, colloc, sources, margin)
+    context, p = _build(cfg, method, ws, colloc, sources)
     g = ws.data.values(colloc.points)
     if method == "direct":
         record = solve_direct(assemble_direct(context, colloc), g, context)
@@ -458,4 +456,4 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
 def build_method_context(cfg: ExperimentConfig, method: str, n: int):
     """Construct the evaluation context a basis dump needs for (method, N)."""
     ws = _workspace(cfg)
-    return _build(cfg, method, ws, *_sample(cfg, ws, n))[0], ws
+    return _build(cfg, method, ws, *_sample(cfg, ws, n)[:2])[0], ws

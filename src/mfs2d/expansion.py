@@ -124,7 +124,7 @@ def truncation_order(ratio: float, tol: float, cap: Optional[int] = None) -> int
     """
     if not 0.0 < ratio < 1.0:
         raise ConstraintViolationError(
-            1.0 - ratio, f"series ratio must lie in (0, 1), got {ratio:.6g}"
+            1.0 - ratio, f"series ratio {ratio:.6g} is not in (0, 1) (margin={1.0 - ratio:.6g})"
         )
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

@@ -10,7 +10,9 @@ closed and counterclockwise.  Catalog curves are smooth and star shaped;
 construction runs a cheap sanity check (positive radius for radial curves,
 positive distance from the origin for parametric ones) but no global
 self-intersection test.  `offset(<base>, rho=<v>)` moves a catalog curve by
-rho along its outward normal, the tangent rotated by -pi/2.
+rho along its outward normal, the tangent rotated by -pi/2.  A catalog
+curve's tangent is the complex step of its point map, exact to rounding; an
+offset's is a difference, since its map goes through float-only calls.
 """
 
 import math
@@ -52,10 +54,12 @@ class BoundaryCurve:
     """Closed curve t -> (x(t), y(t)) over t in [0, 2*pi).
 
     `point` and `tangent` (the derivative of point in t) map a float array t
-    to shape (..., 2).  Every curve make_curve builds runs counterclockwise
-    (positive signed area), and so does its offset, whose signed area is
-    A + rho*L + pi*rho**2; outward_normal relies on this.  `folds` counts the
-    samples where an offset folds back on itself: its tangent opposes the base's.
+    to shape (..., 2).  Callers pass both: a default complex step of point
+    would be silently wrong for a map that is not analytic in t.  Every curve
+    make_curve builds runs counterclockwise (positive signed area), and so
+    does its offset, whose signed area is A + rho*L + pi*rho**2;
+    outward_normal relies on this.  `folds` counts the samples where an
+    offset folds back on itself: its tangent opposes the base's.
     """
 
     folds = 0
@@ -80,17 +84,23 @@ class BoundaryCurve:
 _CHECK_GRID = np.linspace(0.0, TWO_PI, 1024, endpoint=False)
 
 
+def _complex_step(point: Callable) -> Callable:
+    """Tangent t -> Im point(t + i*h) / h, h = 2**-60, of a map analytic in t.
+
+    The complex step (Squire & Trapp, SIAM Rev. 40, 1998) subtracts nothing,
+    so its O(h**2) error is far below rounding, and scaling by 2**60 is exact.
+    """
+    return lambda t: point(t + 1j * 2.0**-60).imag * 2.0**60
+
+
 def _circle(radius=1.0, cx=0.0, cy=0.0):
     def point(t):
         return np.stack([cx + radius * np.cos(t), cy + radius * np.sin(t)], axis=-1)
 
-    def tangent(t):
-        return np.stack([radius * -np.sin(t), radius * np.cos(t)], axis=-1)
-
-    return BoundaryCurve("circle", point, tangent)
+    return BoundaryCurve("circle", point, _complex_step(point))
 
 
-def _polar(name: str, radial: Callable, radial_deriv: Callable):
+def _polar(name: str, radial: Callable):
     """Curve r(t)*(cos t, sin t) for a positive radial function."""
     if np.min(radial(_CHECK_GRID)) <= 0.0:
         raise DegenerateCurveError(f"radial function of '{name}' is not positive")
@@ -99,24 +109,18 @@ def _polar(name: str, radial: Callable, radial_deriv: Callable):
         r = radial(t)
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
-    def tangent(t):
-        r, dr, c, s = radial(t), radial_deriv(t), np.cos(t), np.sin(t)
-        return np.stack([dr * c - r * s, dr * s + r * c], axis=-1)
-
-    return BoundaryCurve(name, point, tangent)
+    return BoundaryCurve(name, point, _complex_step(point))
 
 
-def _parametric(name: str, fx: Callable, fy: Callable, dfx: Callable, dfy: Callable):
+def _parametric(name: str, fx: Callable, fy: Callable):
     """Curve (x(t), y(t)) given by explicit coordinate functions."""
-    curve = BoundaryCurve(
-        name,
-        lambda t: np.stack([fx(t), fy(t)], axis=-1),
-        lambda t: np.stack([dfx(t), dfy(t)], axis=-1),
-    )
-    pts = curve.point(_CHECK_GRID)
-    if np.min(np.hypot(pts[:, 0], pts[:, 1])) <= 0.0:
+
+    def point(t):
+        return np.stack([fx(t), fy(t)], axis=-1)
+
+    if np.min(np.hypot(*point(_CHECK_GRID).T)) <= 0.0:
         raise DegenerateCurveError(f"curve '{name}' passes through the origin")
-    return curve
+    return BoundaryCurve(name, point, _complex_step(point))
 
 
 def _offset(base: BoundaryCurve, rho: float):
@@ -127,8 +131,8 @@ def _offset(base: BoundaryCurve, rho: float):
         return base.point(t) + rho * outward_normal(base, t)
 
     def tangent(t):
-        # The analytic tangent would need curvature of the base; a fourth-order
-        # central difference of point() is accurate to ~1e-11.
+        # base.point casts t to float, so no complex step passes through it; a
+        # fourth-order central difference of point() is accurate to ~1e-11.
         h = 1e-5
         return (
             8.0 * (point(t + h) - point(t - h)) - (point(t + 2 * h) - point(t - 2 * h))
@@ -147,30 +151,12 @@ def _star_kite_r(t):
     return (np.cos(4 * t) + np.sqrt(3.6 - np.sin(4 * t) ** 2)) ** (1.0 / 3.0)
 
 
-def _star_kite_dr(t):
-    s4 = np.sin(4 * t)
-    root = np.sqrt(3.6 - s4**2)
-    inner = np.cos(4 * t) + root
-    dinner = -4.0 * s4 * (1.0 + np.cos(4 * t) / root)
-    return dinner / (3.0 * inner ** (2.0 / 3.0))
-
-
 def _osc_r(c0):
-    def r(t):
-        return c0 + np.cos(6 * t) / 5.0 + np.cos(3 * t) / 10.0
-
-    def dr(t):
-        return -1.2 * np.sin(6 * t) - 0.3 * np.sin(3 * t)
-
-    return r, dr
+    return lambda t: c0 + np.cos(6 * t) / 5.0 + np.cos(3 * t) / 10.0
 
 
 def _eta1_r(t):
     return 1.0 + np.cos(3 * t) / 5.0
-
-
-def _eta1_dr(t):
-    return -0.6 * np.sin(3 * t)
 
 
 def _eta2_x(t):
@@ -181,22 +167,8 @@ def _eta2_y(t):
     return np.sin(t) + np.cos(4 * t) / 6.0
 
 
-def _eta2_dx(t):
-    return -np.sin(t) * (1.0 - np.sin(2 * t) / 2.0) - np.cos(t) * np.cos(2 * t)
-
-
-def _eta2_dy(t):
-    return np.cos(t) - 2.0 * np.sin(4 * t) / 3.0
-
-
 def _gamma(t):
     return np.exp(np.sin(t)) * np.sin(2 * t) ** 2 + np.exp(np.cos(t)) * np.cos(2 * t) ** 2
-
-
-def _dgamma(t):
-    return np.exp(np.sin(t)) * (np.cos(t) * np.sin(2 * t) ** 2 + 2.0 * np.sin(4 * t)) + np.exp(
-        np.cos(t)
-    ) * (-np.sin(t) * np.cos(2 * t) ** 2 - 2.0 * np.sin(4 * t))
 
 
 def _gamma_blob_x(t):
@@ -207,38 +179,19 @@ def _gamma_blob_y(t):
     return 4.0 * _gamma(t) * np.sin(t) - 1.0
 
 
-def _gamma_blob_dx(t):
-    return 4.0 * (_dgamma(t) * np.cos(t) - _gamma(t) * np.sin(t))
-
-
-def _gamma_blob_dy(t):
-    return 4.0 * (_dgamma(t) * np.sin(t) + _gamma(t) * np.cos(t))
-
-
 def _ellipse(a=2.0, b=1.5):
-    return _parametric(
-        "ellipse",
-        lambda t: a * np.cos(t),
-        lambda t: b * np.sin(t),
-        lambda t: -a * np.sin(t),
-        lambda t: b * np.cos(t),
-    )
+    return _parametric("ellipse", lambda t: a * np.cos(t), lambda t: b * np.sin(t))
 
 
 _CATALOG = {
     "circle": (_circle, {"radius", "cx", "cy"}),
     "ellipse": (_ellipse, {"a", "b"}),
-    "star_kite": (lambda: _polar("star_kite", _star_kite_r, _star_kite_dr), set()),
-    "gamma_blob": (
-        lambda: _parametric(
-            "gamma_blob", _gamma_blob_x, _gamma_blob_y, _gamma_blob_dx, _gamma_blob_dy
-        ),
-        set(),
-    ),
-    "osc_r1": (lambda: _polar("osc_r1", *_osc_r(1.2)), set()),
-    "osc_art": (lambda: _polar("osc_art", *_osc_r(2.0)), set()),
-    "eta1": (lambda: _polar("eta1", _eta1_r, _eta1_dr), set()),
-    "eta2": (lambda: _parametric("eta2", _eta2_x, _eta2_y, _eta2_dx, _eta2_dy), set()),
+    "star_kite": (lambda: _polar("star_kite", _star_kite_r), set()),
+    "gamma_blob": (lambda: _parametric("gamma_blob", _gamma_blob_x, _gamma_blob_y), set()),
+    "osc_r1": (lambda: _polar("osc_r1", _osc_r(1.2)), set()),
+    "osc_art": (lambda: _polar("osc_art", _osc_r(2.0)), set()),
+    "eta1": (lambda: _polar("eta1", _eta1_r), set()),
+    "eta2": (lambda: _parametric("eta2", _eta2_x, _eta2_y), set()),
 }
 
 _OFFSET_RE = re.compile(r"^offset\(\s*([a-z0-9_]+)\s*,\s*rho\s*=\s*([^\s,)]+)\s*\)$")
@@ -377,8 +330,7 @@ def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
     h = TWO_PI / samples
 
     def f(t):
-        p = curve.point(t)
-        return math.hypot(p[0], p[1])
+        return math.hypot(*curve.point(t))
 
     a, b = grid[k] - h, grid[k] + h
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -153,6 +153,20 @@ class TestRunSweep:
         method, n, message = table.errors[0]
         assert method == "svd" and n == 6 and "margin" in message
 
+    def test_qr_and_svd_report_a_violation_with_one_message(self):
+        # unit disk centred at x = 0.5 (R = 1.5) with radius-1.2 sources: ratio 1.25
+        cfg = config(
+            domain_params={"cx": 0.5},
+            source_params={"radius": 1.2},
+            methods=("qr", "svd"),
+            n_values=(40,),
+        )
+        table = run_sweep(cfg)
+        assert not table.rows
+        (qr, _, qr_message), (svd, _, svd_message) = table.errors
+        assert (qr, svd) == ("qr", "svd") and qr_message == svd_message
+        assert "1.25" in qr_message and "margin=-0.25" in qr_message
+
     def test_rows_sorted_and_one_per_cell(self):
         cfg = config(methods=("svd", "direct"), n_values=(8, 12))
         table = run_sweep(cfg)
@@ -440,16 +454,16 @@ def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
     assert basis.degree == p and 2 * p + 1 > n
 
 
+OFFSET_CURVES = st.builds(
+    "offset({}, rho={})".format, st.sampled_from(curve_names()), st.sampled_from([0.05, 0.3, 0.5])
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    domain=st.one_of(
-        st.sampled_from(curve_names()),
-        st.builds(
-            "offset({}, rho={})".format,
-            st.sampled_from(curve_names()),
-            st.sampled_from([0.05, 0.3, 0.5]),
-        ),
-    ),
+    domain=st.one_of(st.sampled_from(curve_names()), OFFSET_CURVES),
+    # an offset's outward normal is the one curve tangent that reaches a solve
+    source=st.one_of(st.just("circle"), OFFSET_CURVES),
     radius=st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e3, 1e300])),
     cx=st.floats(-3.0, 3.0),
     cy=st.floats(-3.0, 3.0),
@@ -460,17 +474,19 @@ def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
     tol=st.sampled_from([MACHINE_EPS, 1e-6, 10.0]),
 )
 @example(    # the row scale (R/rho)^2 / 2 underflows
-    domain="star_kite", radius=1e300, cx=0.0, cy=0.0, method="qr", n=4, m_rule=2,
-    error_samples=64, tol=MACHINE_EPS,
+    domain="star_kite", source="circle", radius=1e300, cx=0.0, cy=0.0, method="qr", n=4,
+    m_rule=2, error_samples=64, tol=MACHINE_EPS,
 )
 def test_every_cell_ends_as_a_row_or_a_typed_error(
-    domain, radius, cx, cy, method, n, m_rule, error_samples, tol
+    domain, source, radius, cx, cy, method, n, m_rule, error_samples, tol
 ):
     cfg = config(
         domain=domain,
+        source=source,
         methods=(method,),
         n_values=(n,),
-        source_params={"radius": radius, "cx": cx, "cy": cy},
+        # offset(...) takes no parameters
+        source_params={"radius": radius, "cx": cx, "cy": cy} if source == "circle" else {},
         m_rule=m_rule,
         error_samples=error_samples,
         tol=tol,

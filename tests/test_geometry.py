@@ -30,6 +30,33 @@ def fd_normal(curve, t, h=1e-6):
     return np.array([d[1], -d[0]]) / np.hypot(d[0], d[1])
 
 
+def mp_point_maps():
+    """Each catalog point map restated in mpmath, at the catalog's default parameters."""
+    mp = mpmath
+
+    def polar(radial):
+        return lambda t: (radial(t) * mp.cos(t), radial(t) * mp.sin(t))
+
+    def gamma(t):
+        return mp.exp(mp.sin(t)) * mp.sin(2 * t) ** 2 + mp.exp(mp.cos(t)) * mp.cos(2 * t) ** 2
+
+    def osc(c0):
+        return polar(lambda t: c0 + mp.cos(6 * t) / 5 + mp.cos(3 * t) / 10)
+
+    return {
+        "circle": lambda t: (mp.cos(t), mp.sin(t)),
+        "ellipse": lambda t: (2 * mp.cos(t), mp.mpf(3) / 2 * mp.sin(t)),
+        "star_kite": polar(
+            lambda t: mp.cbrt(mp.cos(4 * t) + mp.sqrt(mp.mpf(18) / 5 - mp.sin(4 * t) ** 2))
+        ),
+        "gamma_blob": lambda t: (4 * gamma(t) * mp.cos(t) - 1, 4 * gamma(t) * mp.sin(t) - 1),
+        "osc_r1": osc(mp.mpf(6) / 5),
+        "osc_art": osc(2),
+        "eta1": polar(lambda t: 1 + mp.cos(3 * t) / 5),
+        "eta2": lambda t: (mp.cos(t) * (1 - mp.sin(2 * t) / 2), mp.sin(t) + mp.cos(4 * t) / 6),
+    }
+
+
 def shoelace_area(curve, samples=4096):
     """Signed area of the polygon through `samples` uniform-parameter points."""
     x, y = curve.point(_uniform_params(samples)).T
@@ -141,6 +168,23 @@ class TestOutwardNormal:
         # the mean of the curve's sample points on their outer side
         for t in [*np.linspace(0.1, 2 * np.pi, 9), 5.3]:
             assert np.allclose(outward_normal(curve, t), fd_normal(curve, t), atol=1e-7)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_tangent_matches_a_30_digit_derivative_to_rounding(self, name):
+        # t = 5.3 lies on the concave gamma_blob arc
+        t = np.append(_uniform_params(9), 5.3)
+        tangent = make_curve(name).tangent(t)
+        assert tangent.dtype == np.float64 and tangent.shape == (t.size, 2)
+        point = mp_point_maps()[name]
+
+        def derivative(tk, i):
+            return float(mpmath.diff(lambda s: point(s)[i], mpmath.mpf(tk)))
+
+        with mpmath.workdps(30):
+            exact = np.array([[derivative(tk, i) for i in (0, 1)] for tk in t])
+        # a few eps is the floor: the float maps round their own arguments (6t reaches 37.7)
+        err = np.linalg.norm(tangent - exact, axis=-1)
+        assert np.all(err <= 8 * np.finfo(float).eps * np.linalg.norm(exact, axis=-1))
 
     def test_unit_norm(self):
         curve = make_curve("gamma_blob")
@@ -260,7 +304,7 @@ class TestCurveProperties:
 
     def test_degenerate_radial_curve_rejected(self):
         with pytest.raises(DegenerateCurveError):
-            _polar("bad", np.cos, lambda t: -np.sin(t))
+            _polar("bad", np.cos)
 
     def test_zero_tangent_rejected(self):
         frozen = BoundaryCurve(
