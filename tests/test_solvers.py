@@ -502,6 +502,18 @@ def star_cell(method, n):
 
 
 class TestCoefficientFirstEvaluation:
+    def test_qr_boundary_error_never_forms_the_basis_matrix(self):
+        record = star_cell("qr", 500)
+        monomial_bytes = 10001 * (2 * record.context.degree + 1) * 8
+        tracemalloc.start()
+        try:
+            boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (10001, 2p+1) monomials, not also a (10001, N) basis matrix
+        assert peak < 1.5 * monomial_bytes
+
     @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
     def test_unit_coefficients_evaluate_to_the_dumped_traces(self, method, tmp_path):
         domain = make_curve("star_kite")
@@ -602,9 +614,7 @@ class TestBlockedEvaluation:
         "method, n, source_radius, domain, limit_mib",
         [
             ("direct", 1000, 1.1, "circle", 32),    # a direct_disk cell; 229.1 MiB when formed
-            # a star_sweep cell: never the (10001, 2p+1) monomials (38.7 MiB), let
-            # alone also a (10001, N) basis matrix
-            ("qr", 500, 2.0, "star_kite", 8),
+            ("qr", 500, 2.0, "star_kite", 8),       # a star_sweep cell; 38.7 MiB when formed
         ],
     )
     def test_boundary_error_peak_memory(self, method, n, source_radius, domain, limit_mib):
