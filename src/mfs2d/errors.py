@@ -24,11 +24,17 @@ class NumericalError(Exception):
 
 
 class ConstraintViolationError(NumericalError):
-    """Source points violate the separation constraint max_j (R / rho_j) < 1."""
+    """Source points violate the separation constraint max_j (R / rho_j) < 1.
+
+    `margin` is 1 - q for the series ratio q = max_j R / rho_j.
+    """
 
     def __init__(self, margin, message=None):
         self.margin = float(margin)
-        super().__init__(message or f"source constraint violated (margin={margin:.6g})")
+        ratio = 1.0 - self.margin
+        super().__init__(
+            message or f"series ratio {ratio:.6g} is not in (0, 1) (margin={self.margin:.6g})"
+        )
 
 
 class SingularityError(NumericalError):

@@ -123,9 +123,7 @@ def truncation_order(ratio: float, tol: float, cap: Optional[int] = None) -> int
     the walk would pile up above the cap.  Work is then O(min(K, cap)).
     """
     if not 0.0 < ratio < 1.0:
-        raise ConstraintViolationError(
-            1.0 - ratio, f"series ratio {ratio:.6g} is not in (0, 1) (margin={1.0 - ratio:.6g})"
-        )
+        raise ConstraintViolationError(1.0 - ratio)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     # q^(K+1) <= eps * tol * (1-q) bounds the left-out tail by eps * tol.

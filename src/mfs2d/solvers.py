@@ -5,8 +5,10 @@ least-squares sense, then evaluate the approximation anywhere and measure
 its boundary error.
 
 direct  -- kernel basis as-is; matrix entry (i, j) is the fundamental
-           solution at collocation point i, source j.  Simple and accurate
-           until its conditioning blows up exponentially with N.
+           solution at collocation point i, source j, formed as
+           -log(d^2) / (4 pi) from the squared distance (coordinates
+           pre-scaled by an exact 2^-k only beyond 2^500).  Simple and
+           accurate until its conditioning blows up exponentially with N.
 qr      -- MFS-QR (Antunes, Adv. Comput. Math. 44, 2018) on the kernel
            expansion matrix: sources on a common circle, the matrix's real
            form is QR-factorized and each row of the triangular factor is
@@ -24,9 +26,10 @@ dispatch on the context): kernels and identity for direct, Re z^m, Im z^m and
 z = (x + iy)/R about the origin, R the maximum boundary radius.  All three
 evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
 A system matrix is the identity block at the collocation points, so an svd
-basis solves on any point set.  Every backend makes its feature rows
-arnoldi.CHUNK points at a time and contracts each block at once, so no
-(points x width) feature matrix is stored.
+basis solves on any point set.  Every backend makes its feature rows a block
+of points at a time and contracts each block at once, so no (points x width)
+feature matrix is stored: arnoldi.CHUNK points for qr and svd, and for direct
+as many as keep a block within _KERNEL_BLOCK entries (1 MiB), at most CHUNK.
 """
 
 import math
@@ -43,6 +46,7 @@ from .expansion import ExpansionSetup, _powers
 from .geometry import BoundaryCurve, PointSet, sample_collocation, scaled_coordinate
 
 _COINCIDENCE_RTOL = 1e-14
+_KERNEL_BLOCK = 2**17    # float64 entries (1 MiB) per direct scratch block
 
 
 # --- boundary data -----------------------------------------------------------
@@ -177,27 +181,46 @@ class QrBasis:
 # --- direct backend ----------------------------------------------------------
 
 
-def _kernel_rows(points: np.ndarray, sources: PointSet):
-    """Row writer fill(lo, d): d[i, j] = -log|x_(lo+i) - y_j| / (2 pi) for a (b, N) block d.
+def _kernel_rows(points: np.ndarray, sources: PointSet, rows: int):
+    """Row writer fill(lo, d): d[i, j] = -log|x_(lo+i) - y_j| / (2 pi), d (b, N), b <= rows.
 
-    Its scratch block is allocated once.  A coincidence raises
-    SingularityError naming the global point index of the first pair.
+    Each value is -log(dx^2 + dy^2) / (4 pi): two subtractions, two squares,
+    an add, one log and one scale, all in place, with no hypot.  Points and
+    sources are first scaled by 2^-k, exactly, so every coordinate is below
+    2^500 and the squares cannot overflow; k = 0 (no copy, no extra pass)
+    unless some coordinate or source radius reaches 2^500, and otherwise the
+    constant -k log 2 / (2 pi) is added back.  A coincidence is a scaled
+    distance below the tolerance 1e-14 * max(1, max source radius), also
+    scaled, or below 2^-500, where its square would lose digits; it raises
+    SingularityError naming the global point index of the first pair.  The
+    dy scratch block (rows, N) is allocated once.
     """
-    tol = _COINCIDENCE_RTOL * max(1.0, float(np.max(sources.radii)))
-    sx, sy = sources.points[:, 0], sources.points[:, 1]
-    dy = np.empty((min(arnoldi.CHUNK, points.shape[0]), sources.count))
+    radius = float(np.max(sources.radii))
+    k = max(0, math.frexp(max(radius, float(np.max(np.abs(points), initial=0.0))))[1] - 500)
+    scale = math.ldexp(1.0, -k)
+    s = sources.points
+    if k:
+        points, s = points * scale, s * scale
+    tol2 = max(_COINCIDENCE_RTOL * max(1.0, radius) * scale, 2.0**-500) ** 2
+    shift = -k * math.log(2.0) / (2.0 * math.pi)
+    sx, sy = s[:, 0], s[:, 1]
+    dy = np.empty((min(rows, points.shape[0]), sources.count))
 
     def fill(lo, d):
         b = d.shape[0]
+        t = dy[:b]
         np.subtract(points[lo : lo + b, 0, None], sx, out=d)
-        np.subtract(points[lo : lo + b, 1, None], sy, out=dy[:b])
-        np.hypot(d, dy[:b], out=d)
-        if np.min(d, initial=math.inf) < tol:
-            i, j = np.argwhere(d < tol)[0]
+        np.subtract(points[lo : lo + b, 1, None], sy, out=t)
+        np.multiply(d, d, out=d)
+        np.multiply(t, t, out=t)
+        np.add(d, t, out=d)
+        if np.min(d, initial=math.inf) < tol2:
+            i, j = np.argwhere(d < tol2)[0]
             raise SingularityError(f"point {lo + i} coincides with source {j}")
         np.log(d, out=d)
-        np.negative(d, out=d)
-        np.divide(d, 2.0 * math.pi, out=d)
+        np.multiply(d, -0.25 / math.pi, out=d)
+        if k:
+            np.add(d, shift, out=d)
 
     return fill
 
@@ -365,9 +388,10 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
     basis is feature rows times its coordinates, and the coordinates are
     applied to coef before the rows are (coefficient-first).
 
-    Direct and qr rows are written arnoldi.CHUNK points at a time into one
-    buffer per call and contracted at once (direct rows with coef None go
-    straight into the result), so no (n, width) feature matrix is stored.
+    qr rows are written arnoldi.CHUNK points at a time, direct rows
+    min(CHUNK, _KERNEL_BLOCK // N) at a time (at least one), into one buffer
+    per call and contracted at once (direct rows with coef None go straight
+    into the result), so no (n, width) feature matrix is stored.
     The kernel values are those of the whole matrix, bitwise; a contraction
     can differ from the one-shot product by summation order, as when BLAS
     handles a block of one point alone.
@@ -377,11 +401,13 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
         return context.frame_times(points, block)
     points = np.asarray(points)
     if isinstance(context, PointSet):
-        width, fill = context.count, _kernel_rows(points, context)
+        width = context.count
+        step = max(1, min(arnoldi.CHUNK, _KERNEL_BLOCK // max(width, 1)))
+        fill = _kernel_rows(points, context, step)
         coords = None if coef is None else np.asarray(coef)
     elif isinstance(context, QrBasis):
         z = scaled_coordinate(points, context.scale_radius)
-        width = 2 * context.degree + 1
+        width, step = 2 * context.degree + 1, arnoldi.CHUNK
 
         def fill(lo, rows):
             _real_monomials(z[lo : lo + rows.shape[0]], context.degree, out=rows)
@@ -394,9 +420,9 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
         out = np.empty((n, width))
     else:
         out = np.empty((n,) + coords.shape[1:], dtype=np.result_type(coords, float))
-        buf = np.empty((min(arnoldi.CHUNK, n), width))
-    for lo in range(0, n, arnoldi.CHUNK):
-        hi = min(lo + arnoldi.CHUNK, n)
+        buf = np.empty((min(step, n), width))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         if coords is None:
             fill(lo, out[lo:hi])
         else:

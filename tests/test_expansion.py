@@ -345,6 +345,15 @@ class TestExpansionMatrix:
             expansion_matrix(sources, 1.0, 8)
         assert err.value.margin == pytest.approx(1 - 1 / 0.8, abs=1e-12)
 
+    def test_constraint_violation_reads_as_truncation_order_says_it(self):
+        sources = sample_sources(make_curve("circle", radius=1.2), 8)
+        with pytest.raises(ConstraintViolationError) as fixed_degree:
+            expansion_matrix(sources, 1.5, 4)
+        with pytest.raises(ConstraintViolationError) as order_search:
+            truncation_order(1.25, MACHINE_EPS)
+        assert str(fixed_degree.value) == str(order_search.value)
+        assert str(order_search.value) == "series ratio 1.25 is not in (0, 1) (margin=-0.25)"
+
     @pytest.mark.parametrize("bad", [math.nan, -1.5, 0.0, math.inf])
     def test_bad_scale_radius_rejected_before_any_arithmetic(self, bad):
         # one check, in series_ratio, for every entry point that takes R

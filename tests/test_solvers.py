@@ -130,6 +130,51 @@ class TestDirect:
         assert record.max_imag_on_boundary == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+class TestKernelAccuracy:
+    """Direct kernels from squared distances, held to a 30-digit reference at the same inputs."""
+
+    @staticmethod
+    def assert_matches_mpmath(points, sources):
+        got = solvers.basis_values(sources, points)
+        with mpmath.workdps(30):
+            mp = mpmath.mpf
+            ref = np.array(
+                [
+                    [float(-mpmath.log((mp(x) - mp(sx)) ** 2 + (mp(y) - mp(sy)) ** 2) / (4 * mpmath.pi))
+                     for sx, sy in sources.points]
+                    for x, y in points
+                ]
+            )
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - ref) <= np.finfo(float).eps * np.maximum(1.0, np.abs(ref)))
+
+    @pytest.mark.parametrize("domain, source_radius", [("star_kite", 2.0), ("circle", 1.1)])
+    def test_headline_geometries(self, domain, source_radius):
+        points = sample_collocation(make_curve(domain), 64).points
+        self.assert_matches_mpmath(points, sample_sources(make_curve("circle", radius=source_radius), 40))
+
+    @pytest.mark.parametrize(
+        "point_radius, source_radius",
+        [(1.0, 1e300), (1e200, 1.3e200)],    # the squares would overflow unscaled
+    )
+    def test_far_scales(self, point_radius, source_radius):
+        points = sample_collocation(make_curve("circle", radius=point_radius), 32).points
+        self.assert_matches_mpmath(points, sample_sources(make_curve("circle", radius=source_radius), 24))
+
+    def test_coincidence_at_a_far_scale(self):
+        points = sample_collocation(make_curve("circle", radius=1e200), 16).points
+        sources = point_set([[0.0, 1.3e200], points[7]])
+        with pytest.raises(SingularityError, match="point 7 coincides with source 1"):
+            solvers.basis_values(sources, points)
+
+    def test_a_distance_its_square_cannot_hold_is_a_coincidence(self):
+        # at a scale of 1e300 a distance of 1e-10 squares below the normal range
+        points = np.array([[1e300, 0.0], [0.5, 0.0]])
+        with pytest.raises(SingularityError, match="point 1 coincides with source 0"):
+            solvers.basis_values(point_set([[0.5 + 1e-10, 0.0]]), points)
+
+
 class TestSvdBasis:
     def test_single_source(self):
         domain = make_curve("circle")
@@ -564,7 +609,7 @@ class TestCoefficientFirstEvaluation:
 
 
 class TestBlockedEvaluation:
-    """Direct and qr rows are made arnoldi.CHUNK points at a time, never all at once."""
+    """qr rows are made arnoldi.CHUNK points at a time, direct rows in 1 MiB blocks, never all at once."""
 
     # the last of three blocks holds one point
     count = 2 * arnoldi.CHUNK + 1
@@ -584,9 +629,12 @@ class TestBlockedEvaluation:
     def test_direct_matches_the_one_shot_kernel(self):
         pts = self.boundary()
         sources = sample_sources(make_curve("circle", radius=2.0), 40)
+        # the direct block holds min(CHUNK, _KERNEL_BLOCK // N) points; the last holds one
+        assert self.count % min(arnoldi.CHUNK, solvers._KERNEL_BLOCK // sources.count) == 1
         s = sources.points
-        d = np.hypot(pts[:, 0, None] - s[None, :, 0], pts[:, 1, None] - s[None, :, 1])
-        kernel = -np.log(d) / (2.0 * math.pi)
+        dx = pts[:, 0, None] - s[None, :, 0]
+        dy = pts[:, 1, None] - s[None, :, 1]
+        kernel = np.log(dx * dx + dy * dy) * (-0.25 / math.pi)
         assert np.array_equal(solvers.basis_values(sources, pts), kernel)
         coef = np.random.default_rng(5).standard_normal((sources.count, 2))
         self.assert_contraction(solvers.basis_values(sources, pts, coef), kernel, coef)
@@ -613,7 +661,7 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize(
         "method, n, source_radius, domain, limit_mib",
         [
-            ("direct", 1000, 1.1, "circle", 32),    # a direct_disk cell; 229.1 MiB when formed
+            ("direct", 1000, 1.1, "circle", 4),     # a direct_disk cell; 229.1 MiB when formed
             ("qr", 500, 2.0, "star_kite", 8),       # a star_sweep cell; 38.7 MiB when formed
         ],
     )
