@@ -38,6 +38,11 @@ class ArnoldiFactor:
     r: np.ndarray
     degree: int
 
+    @property
+    def node_count(self) -> int:
+        """M, the number of nodes; the replay starts from the constant 1/sqrt(M)."""
+        return self.q.shape[0]
+
 
 def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
     """Orthonormalize monomials of the given degree on the nodes.
@@ -92,14 +97,16 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
     return ArnoldiFactor(q=q, h=h, r=r, degree=n)
 
 
-def evaluate_basis(factor: ArnoldiFactor, new_nodes, coef) -> np.ndarray:
+def evaluate_basis(factor, new_nodes, coef) -> np.ndarray:
     """Orthonormal polynomial basis at new points times a coefficient block.
 
     Returns Q(new_nodes) @ coef for coef of shape (degree + 1,) or
     (degree + 1, k); the (n_points, degree + 1) basis itself is never stored
     (pass the identity to get it).  Q is replayed from the Hessenberg
     recurrence, starting from the constant 1/sqrt(M) used at construction,
-    so the original nodes give back the factor's own Q.
+    so the original nodes give back the factor's own Q.  The replay reads
+    only `factor.h`, `factor.degree` and `factor.node_count` (M): an
+    ArnoldiFactor, or a record that keeps just these, as SvdBasis does.
 
     The points go CHUNK at a time through one (degree + 1, CHUNK) buffer,
     basis-major, so each q_k is a contiguous row.  In each block of
@@ -129,7 +136,7 @@ def evaluate_basis(factor: ArnoldiFactor, new_nodes, coef) -> np.ndarray:
     for lo in range(0, x.shape[0], CHUNK):
         xb = x[lo : lo + CHUNK]
         q = buf[:, : xb.shape[0]]
-        q[0] = 1.0 / np.sqrt(factor.q.shape[0])
+        q[0] = 1.0 / np.sqrt(factor.node_count)
         for kb in range(0, n, DEGREE_BLOCK):
             b = min(DEGREE_BLOCK, n - kb)
             known = hist[:b, : xb.shape[0]]

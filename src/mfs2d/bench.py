@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSystemError
 from .errors import InsufficientDataError, NumericalError, SizeLimitError
-from .expansion import MACHINE_EPS, expansion_degree, expansion_matrix, setup_expansion
-from .expansion import truncation_order
+from .expansion import FEATURE_BYTES_MAX, MACHINE_EPS, expansion_degree, expansion_matrix
+from .expansion import setup_expansion, truncation_order
 from .geometry import (
     BoundaryCurve,
     PointSet,
@@ -62,12 +62,6 @@ _SATURATION_COND = 1e15
 # on the shipped geometries, so a max-abs at or below this floor (4500 eps) is
 # noise; real traces sit far above it (smallest on star_circle2: 0.187).
 _TRACE_FLOOR = 1e-12
-# Bytes of the largest feature matrix (rows x basis width) one cell describes:
-# direct's rows x N kernels (80 MB at N=1000, 10001 rows), which no basis is
-# narrower than, qr's rows x (2p+1) monomials and svd's complex frame.  Every
-# backend evaluates it in blocks of points and never forms it, so the bound
-# caps N and p, and with them the rows x width work, not memory held.
-FEATURE_BYTES_MAX = 1 << 30
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConstraintViolationError, SingularityError
+from .errors import ConstraintViolationError, SingularityError, SizeLimitError
 from .geometry import PointSet, scaled_coordinate, series_ratio
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
+# Bytes of the largest feature matrix (rows x basis width) one cell describes:
+# direct's rows x N kernels (80 MB at N=1000, 10001 rows), which no basis is
+# narrower than, qr's rows x (2p+1) monomials and svd's complex frame.  Every
+# backend evaluates it in blocks of points and never forms it, so the bound
+# caps N and p, and with them the rows x width work, not memory held.  Without
+# a degree cap, setup_expansion holds the N x (2p+1) complex expansion matrix,
+# which is formed, to it as well.
+FEATURE_BYTES_MAX = 1 << 30
 
 
 def _coords(p) -> np.ndarray:
@@ -265,12 +273,24 @@ def setup_expansion(
     stacked frame functions, so solvers pass (M - 1) // 2 to keep
     2*degree + 1 <= M.  When the tolerance-driven order exceeds the cap, the
     kernel tail left out, bounded by ratio^(p+1) * Phi(ratio, 1, p+1), can
-    be far above tol (0.36 for ratio 1/1.03 and p = 24).
+    be far above tol (0.36 for ratio 1/1.03 and p = 24).  Without a cap the
+    degree is bounded by FEATURE_BYTES_MAX instead, and SizeLimitError is
+    raised when the N x (2p+1) complex matrix would not fit: the order search
+    then stops at that bound, so a ratio near 1 is refused in bounded time.
     """
-    p0 = truncation_order(series_ratio(sources, scale_radius), tol, max_degree)
+    cap = max_degree
+    if cap is None:    # the largest p whose N x (2p+1) complex matrix fits
+        cap = (FEATURE_BYTES_MAX // (sources.count * 16) - 1) // 2
+    p0 = truncation_order(series_ratio(sources, scale_radius), tol, cap)
     p = expansion_degree(p0, n_basis)
-    if max_degree is not None and p > max_degree:
-        p = int(max_degree)
+    if p > cap:
+        if max_degree is None:
+            budget = FEATURE_BYTES_MAX / 2**30
+            raise SizeLimitError(
+                f"{sources.count} x (2p+1) expansion matrix with p > {cap} needs more than "
+                f"{budget:g} GiB, over the {budget:g} GiB budget"
+            )
+        p = int(cap)
         if 2 * p + 1 < n_basis:
             raise ValueError(
                 f"degree cap {max_degree} leaves fewer than {n_basis} features"

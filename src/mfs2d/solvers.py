@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import arnoldi, linalg
-from .arnoldi import ArnoldiFactor, arnoldi_vandermonde, coupling_matrix, evaluate_basis
+from .arnoldi import arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, DegenerateSystemError, RankDeficiencyError, SingularityError
 from .expansion import ExpansionSetup, _powers
 from .geometry import BoundaryCurve, PointSet, sample_collocation, scaled_coordinate
@@ -131,11 +131,15 @@ class SvdBasis:
     uniformly well conditioned on the collocation set, the system matrix
     conditioning is bounded by the frame's, independent of N.  `frame_times`
     evaluates the frame at any points, system matrices included, through one
-    replay of the z factor.
+    replay of the z factor's Hessenberg recurrence.  The basis keeps only
+    what that replay reads (`h`, `degree` and `node_count`, the M nodes the
+    factor was built on), so it holds no array with M rows: neither factor's
+    Q or R outlives build_svd_basis.
     """
 
     basis_coords: np.ndarray       # (N, 2p+1) rows of the right singular-vector block
-    z_factor: ArnoldiFactor
+    h: np.ndarray                  # (p+1, p) Hessenberg matrix of the z factor
+    node_count: int
     scale_radius: float
     count: int
     degree: int
@@ -146,7 +150,8 @@ class SvdBasis:
         The frame itself is never formed.  The w factor is built on conj(z)
         and is bitwise the conjugate of the z factor, so the w block's part
         is conj(Q_z @ conj(b)): one replay on z carries the block [a | conj b]
-        and the result is y_a + conj(y_b).
+        and the result is y_a + conj(y_b), formed in place in the replay's
+        (n, 2k) output and copied out once as (n, k).
         """
         z = scaled_coordinate(points, self.scale_radius)
         p = self.degree
@@ -156,8 +161,11 @@ class SvdBasis:
         block = np.zeros((p + 1, 2 * k), dtype=complex)
         block[:, :k] = cols[: p + 1]
         np.conj(cols[p + 1 :], out=block[1:, k:])
-        y = evaluate_basis(self.z_factor, z, block)
-        return (y[:, :k] + np.conj(y[:, k:])).reshape(z.shape + coef.shape[1:])
+        y = evaluate_basis(self, z, block)
+        left, right = y[:, :k], y[:, k:]
+        np.conj(right, out=right)
+        left += right
+        return left.copy().reshape(z.shape + coef.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -264,7 +272,9 @@ def build_svd_basis(
     Runs independent Arnoldi factorizations on the scaled boundary nodes
     z_i = (x_i + i y_i)/R and their conjugates, couples them with the
     expansion matrix, and takes the SVD of the product; the right
-    singular-vector rows define the new basis.
+    singular-vector rows define the new basis.  Both factors are dropped
+    once the product is formed, before the SVD: the basis keeps only the z
+    factor's Hessenberg matrix for the replay.
 
     The trailing singular values decay exponentially with the basis size
     (they mirror the conditioning of the kernel basis itself), which is
@@ -288,12 +298,15 @@ def build_svd_basis(
     z_factor = arnoldi_vandermonde(z, p)
     w_factor = arnoldi_vandermonde(np.conj(z), p)
     reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1)
+    h = z_factor.h
+    del z_factor, w_factor    # free both (M, p+1) Q and R before the SVD, the cell's peak
     _, s, vh = linalg.svd_thin(reduced)
     if s[-1] <= rank_tol * s[0]:
         raise RankDeficiencyError(s[max(0, n - 3) :].tolist())
     return SvdBasis(
         basis_coords=vh[:n],
-        z_factor=z_factor,
+        h=h,
+        node_count=colloc.count,
         scale_radius=setup.scale_radius,
         count=n,
         degree=p,

@@ -14,6 +14,7 @@ from mfs2d import (
     ConfigError,
     ConstraintViolationError,
     SingularityError,
+    SizeLimitError,
     check_source_constraint,
     expansion_degree,
     expansion_matrix,
@@ -250,6 +251,23 @@ class TestCappedTruncationOrder:
         sources = PointSet(points=np.array([[1.0 + 1e-9, 0.0]]), params=np.zeros(1))
         setup = setup_expansion(sources, 1.0, 1, max_degree=7)
         assert setup.degree == 7 and setup.base_order == 8
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_uncapped_setup_is_bounded_by_the_size_budget(self, n):
+        # q = 1 - 1e-8: an uncapped walk from K ~ 9e9 did not return in 25 s; the
+        # N x (2p+1) complex matrix budget caps the order search instead
+        sources = sample_sources(make_curve("circle", radius=1.0 / (1.0 - 1e-8)), n)
+        cap = (expansion.FEATURE_BYTES_MAX // (16 * n) - 1) // 2
+        t0 = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=f"p > {cap} needs more than 1 GiB"):
+            setup_expansion(sources, 1.0, n)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_the_budget_cap_leaves_an_order_below_it(self):
+        sources = sample_sources(make_curve("circle", radius=1.05), 4)
+        setup = setup_expansion(sources, 1.0, 4)
+        p0 = truncation_order(series_ratio(sources, 1.0), MACHINE_EPS)
+        assert setup.base_order == setup.degree == p0
 
 
 class TestExpansionDegree:

@@ -261,6 +261,46 @@ class TestSvdBasis:
         err, built_err = boundary_error(record, domain, data), boundary_error(built, domain, data)
         assert abs(err - built_err) <= 0.01 * built_err
 
+    @staticmethod
+    def held_arrays(obj):
+        """Every array a dataclass holds, nested records included, as its base array."""
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from TestSvdBasis.held_arrays(value)
+            elif isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                yield value
+
+    def test_holds_only_the_coordinates_and_the_hessenberg_matrix(self):
+        # the replay needs H, the degree and M; no array with a row per node is kept
+        data = make_boundary_data("x2y3")
+        n = 100
+        basis, _, _, colloc = svd_pipeline(make_curve("star_kite"), make_curve("circle", radius=2.0), n, data)
+        arrays = list(self.held_arrays(basis))
+        assert all(a.shape[0] != colloc.count for a in arrays)
+        p = basis.degree
+        hessenberg_bytes = (p + 1) * p * np.dtype(complex).itemsize
+        assert sum(a.nbytes for a in arrays) <= basis.basis_coords.nbytes + hessenberg_bytes
+
+    def test_build_and_assembly_peak_memory(self):
+        # star svd N=500 (M=1000, p=250): traced peak 31.5 MiB; 36.4 MiB while the
+        # basis kept the z factor's Q and R, the build kept both factors through
+        # the SVD, and the frame's two halves were summed into fresh arrays
+        curve = make_curve("star_kite")
+        n, m = 500, 1000
+        colloc = sample_collocation(curve, m)
+        sources = sample_sources(make_curve("circle", radius=2.0), n)
+        setup = setup_expansion(sources, max_boundary_radius(curve), n, max_degree=(m - 1) // 2)
+        tracemalloc.start()
+        try:
+            assemble_svd_system(build_svd_basis(setup, colloc), colloc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34 * 2**20
+
     def test_duplicate_sources_flagged_by_rank_tolerance(self):
         domain = make_curve("circle")
         colloc = sample_collocation(domain, 16)
@@ -289,16 +329,19 @@ class TestSvdBasis:
         def nodes(points):
             return scaled_coordinate(points, basis.scale_radius)
 
-        # the premise of the single replay: the w factor is the z factor conjugated
+        # the premise of the single replay: the w factor is the z factor conjugated;
+        # the basis keeps only the z factor's Hessenberg matrix, so rebuild both
+        z_factor = arnoldi_vandermonde(nodes(colloc.points), p)
         w_factor = arnoldi_vandermonde(np.conj(nodes(colloc.points)), p)
-        assert np.array_equal(w_factor.q, np.conj(basis.z_factor.q))
+        assert np.array_equal(z_factor.h, basis.h)
+        assert np.array_equal(w_factor.q, np.conj(z_factor.q))
         pts = curve.point(np.linspace(0.0, 2 * np.pi, 777))
         pts = np.vstack([pts, 0.5 * pts])
         z = nodes(pts)
         rng = np.random.default_rng(n)
         coef = rng.normal(size=(2 * p + 1, 3)) + 1j * rng.normal(size=(2 * p + 1, 3))
         w_block = np.vstack([np.zeros((1, 3)), coef[p + 1 :]])
-        both = evaluate_basis(basis.z_factor, z, coef[: p + 1])
+        both = evaluate_basis(z_factor, z, coef[: p + 1])
         both += evaluate_basis(w_factor, np.conj(z), w_block)
         one = basis.frame_times(pts, coef)
         assert one.shape == both.shape
@@ -590,7 +633,7 @@ class TestCoefficientFirstEvaluation:
         # [Q_z, conj(Q_z) without its constant column] (w factor = conj z factor)
         basis = star_cell("svd", 200).context
         colloc = sample_collocation(make_curve("star_kite"), 400)
-        q = basis.z_factor.q
+        q = arnoldi_vandermonde(scaled_coordinate(colloc.points, basis.scale_radius), basis.degree).q
         expected = np.hstack([q, np.conj(q[:, 1:])]) @ basis.basis_coords.T
         got = assemble_svd_system(basis, colloc)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
