@@ -12,7 +12,7 @@ up, and when each returns the script records the process's resident set
 (`/proc/self/statm`) and its peak so far (`getrusage` `ru_maxrss`):
 
     before          after imports, config parsing and the workspace
-    setup           the expansion (svd: setup_expansion, qr: expansion_matrix)
+    setup           the expansion (svd, qr: setup_expansion)
     factor z/w      each Arnoldi factorization (svd)
     coupling        the reduced matrix, formed as the SVD is entered (svd)
     reduced SVD     the SVD of the reduced matrix (svd)
@@ -38,7 +38,6 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # (module, attribute, label when it returns, label when it is entered)
 STAGES = (
     ("bench", "setup_expansion", "setup", None),
-    ("bench", "expansion_matrix", "setup", None),
     ("solvers", "arnoldi_vandermonde", "factor {}", None),
     ("linalg", "svd_thin", "reduced SVD", "coupling"),
     ("bench", "build_svd_basis", "build", None),

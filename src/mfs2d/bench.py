@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateSystemError
 from .errors import InsufficientDataError, NumericalError, SizeLimitError
-from .expansion import FEATURE_BYTES_MAX, MACHINE_EPS, expansion_degree, expansion_matrix
-from .expansion import setup_expansion, truncation_order
+from .expansion import FEATURE_BYTES_MAX, MACHINE_EPS, setup_expansion
+from .expansion import truncation_order    # not called here: perfbench wraps bench.truncation_order
 from .geometry import (
     BoundaryCurve,
     PointSet,
@@ -37,7 +37,6 @@ from .geometry import (
     max_boundary_radius,
     sample_collocation,
     sample_sources,
-    series_ratio,
 )
 from .solvers import (
     BoundaryData,
@@ -241,14 +240,9 @@ def _workspace(cfg: ExperimentConfig) -> _Workspace:
     )
 
 
-def _max_width(rows: int, itemsize: int = 8) -> int:
-    """Widest rows x width feature matrix that fits FEATURE_BYTES_MAX."""
-    return FEATURE_BYTES_MAX // (rows * itemsize)
-
-
 def _check_size(rows: int, width: int, itemsize: int = 8):
     """Refuse a rows x width feature matrix that would exceed FEATURE_BYTES_MAX."""
-    if width > _max_width(rows, itemsize):
+    if width > FEATURE_BYTES_MAX // (rows * itemsize):
         raise SizeLimitError(
             f"{rows} x {width} feature matrix needs {rows * width * itemsize / 2**30:.3g} GiB, "
             f"over the {FEATURE_BYTES_MAX / 2**30:g} GiB budget"
@@ -280,20 +274,15 @@ def _build(cfg: ExperimentConfig, method: str, ws: _Workspace, colloc, sources):
                 f"M_rule={cfg.m_rule} gives only {m} collocation points, too few to "
                 f"carry {n} svd basis functions (need 2*floor((M-1)/2)+1 >= N)"
             )
-        setup = setup_expansion(sources, ws.boundary_radius, n, cfg.tol, max_degree=(m - 1) // 2)
-        _check_size(rows, 2 * setup.degree + 1, itemsize=16)
+        setup = setup_expansion(
+            sources, ws.boundary_radius, n, cfg.tol, (m - 1) // 2, (rows, 16, FEATURE_BYTES_MAX)
+        )
         return build_svd_basis(setup, colloc), setup.degree
-    if method == "qr":
-        cap = (_max_width(rows) - 1) // 2    # largest p whose rows x (2p+1) features fit
-        p0 = truncation_order(series_ratio(sources, ws.boundary_radius), cfg.tol, cap)
-        p = expansion_degree(p0, n + 1)    # qr needs 2p+1 > n
-        if p > cap:    # the order search stops at cap + 1, so p is only a lower bound
-            budget = FEATURE_BYTES_MAX / 2**30
-            raise SizeLimitError(
-                f"{rows} x (2p+1) feature matrix with p > {cap} needs more than "
-                f"{budget:g} GiB, over the {budget:g} GiB budget"
-            )
-        return build_qr_basis(expansion_matrix(sources, ws.boundary_radius, p, base_order=p0)), p
+    if method == "qr":    # 2p+1 > N real monomials of 8 bytes
+        setup = setup_expansion(
+            sources, ws.boundary_radius, n + 1, cfg.tol, budget=(rows, 8, FEATURE_BYTES_MAX)
+        )
+        return build_qr_basis(setup), setup.degree
     raise ConfigError(f"unknown method {method!r}; known: {', '.join(_METHODS)}")
 
 

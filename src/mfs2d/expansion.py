@@ -19,7 +19,7 @@ to the vector of kernel values for all sources.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,14 +27,15 @@ from .errors import ConstraintViolationError, SingularityError, SizeLimitError
 from .geometry import PointSet, scaled_coordinate, series_ratio
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
-# Bytes of the largest feature matrix (rows x basis width) one cell describes:
-# direct's rows x N kernels (80 MB at N=1000, 10001 rows), which no basis is
-# narrower than, qr's rows x (2p+1) monomials and svd's complex frame.  Every
-# backend evaluates it in blocks of points and never forms it, so the bound
-# caps N and p, and with them the rows x width work, not memory held.  Without
-# a degree cap, setup_expansion holds the N x (2p+1) complex expansion matrix,
-# which is formed, to it as well.
+# Default byte budget of one feature matrix.  bench charges every cell's widest
+# matrix to it: direct's rows x N kernels, qr's rows x (2p+1) real monomials and
+# svd's complex frame; the backends evaluate those in blocks of points, so it
+# bounds N and p, and with them the work, not memory held.  setup_expansion
+# refuses a degree over a caller's budget, by default the N x (2p+1) complex
+# expansion matrix it forms itself.
 FEATURE_BYTES_MAX = 1 << 30
+# Work bound of the degree rule: the order search and the power loop take O(p) steps
+MAX_DEGREE = 1 << 22
 
 
 def _coords(p) -> np.ndarray:
@@ -246,11 +247,12 @@ def expansion_matrix(
     n = sources.count
     if 2 * degree + 1 < n:
         raise ValueError(f"degree {degree} too small for {n} sources (need 2p+1 >= N)")
-    zblock = _powers(u, degree) / (-2.0 * np.arange(1, degree + 1))
+    zblock = _powers(u, degree)
+    zblock /= -2.0 * np.arange(1, degree + 1)    # in place, bitwise the same as a new quotient
     mat = np.empty((n, 2 * degree + 1), dtype=complex)
     mat[:, 0] = np.log(scale_radius * np.abs(z))
     mat[:, 1 : degree + 1] = zblock
-    mat[:, degree + 1 :] = np.conj(zblock)
+    np.conjugate(zblock, out=mat[:, degree + 1 :])
     return ExpansionSetup(
         scale_radius=float(scale_radius),
         base_order=base_order,
@@ -266,33 +268,33 @@ def setup_expansion(
     n_basis: int,
     tol: float = MACHINE_EPS,
     max_degree: Optional[int] = None,
+    budget: Optional[Tuple[int, int, int]] = None,
 ) -> ExpansionSetup:
-    """Choose the truncation degree for the given tolerance and build the matrix.
+    """Choose the truncation degree p by the one degree rule and build the matrix.
 
-    `max_degree` caps the degree: M collocation points can resolve at most M
-    stacked frame functions, so solvers pass (M - 1) // 2 to keep
-    2*degree + 1 <= M.  When the tolerance-driven order exceeds the cap, the
-    kernel tail left out, bounded by ratio^(p+1) * Phi(ratio, 1, p+1), can
-    be far above tol (0.36 for ratio 1/1.03 and p = 24).  Without a cap the
-    degree is bounded by FEATURE_BYTES_MAX instead, and SizeLimitError is
-    raised when the N x (2p+1) complex matrix would not fit: the order search
-    then stops at that bound, so a ratio near 1 is refused in bounded time.
+    - p0 = truncation_order(q, tol), q = series_ratio: the smallest order whose
+      kernel tail, bounded by q^(p0+1) * Phi(q, 1, p0+1), is at most tol.
+    - The width floor lifts p to max(p0, n_basis // 2): svd passes N, qr N + 1.
+    - The resolution cap `max_degree` clamps p; svd passes (M - 1) // 2 so that
+      M collocation points resolve the frame.  The tail left out,
+      kernel_tail(q, p), can be far above tol (0.36 for q = 1/1.03, p = 24).
+    - The budget refuses: `budget` = (rows, itemsize, max_bytes) bounds the
+      caller's rows x (2p+1) feature matrix; by default it is the N x (2p+1)
+      complex expansion matrix in FEATURE_BYTES_MAX.  p is also at most
+      MAX_DEGREE, which bounds the O(p) order search and power loop (about 4 s
+      at N = 1).  SizeLimitError is raised before any matrix is formed, and
+      the order search stops at the bound, so a ratio near 1 ends quickly.
     """
-    cap = max_degree
-    if cap is None:    # the largest p whose N x (2p+1) complex matrix fits
-        cap = (FEATURE_BYTES_MAX // (sources.count * 16) - 1) // 2
-    p0 = truncation_order(series_ratio(sources, scale_radius), tol, cap)
-    p = expansion_degree(p0, n_basis)
-    if p > cap:
-        if max_degree is None:
-            budget = FEATURE_BYTES_MAX / 2**30
-            raise SizeLimitError(
-                f"{sources.count} x (2p+1) expansion matrix with p > {cap} needs more than "
-                f"{budget:g} GiB, over the {budget:g} GiB budget"
-            )
-        p = int(cap)
-        if 2 * p + 1 < n_basis:
-            raise ValueError(
-                f"degree cap {max_degree} leaves fewer than {n_basis} features"
-            )
+    rows, itemsize, max_bytes = budget or (sources.count, 16, FEATURE_BYTES_MAX)
+    limit = min((max_bytes // (rows * itemsize) - 1) // 2, MAX_DEGREE)
+    clamp = math.inf if max_degree is None else max_degree
+    p0 = truncation_order(series_ratio(sources, scale_radius), tol, min(clamp, limit))
+    p = int(min(expansion_degree(p0, n_basis), clamp))
+    if 2 * p + 1 < n_basis:
+        raise ValueError(f"degree cap {max_degree} leaves fewer than {n_basis} features")
+    if p > limit:    # the order search stopped at limit + 1, so p is only a lower bound
+        gib = max_bytes / 2**30
+        why = f"needs more than {gib:g} GiB, over the {gib:g} GiB budget"
+        why = why if limit < MAX_DEGREE else f"is over the degree bound {MAX_DEGREE}"
+        raise SizeLimitError(f"{rows} x (2p+1) feature matrix with p > {limit} {why}")
     return expansion_matrix(sources, scale_radius, p, base_order=p0)

@@ -34,6 +34,7 @@ from mfs2d import (
 )
 from mfs2d import SizeLimitError, bench
 from mfs2d.bench import CSV_HEADER, build_method_context
+from mfs2d.geometry import series_ratio
 
 BASE_CONFIG = """\
 [domain]
@@ -453,6 +454,29 @@ def test_qr_degree_keeps_the_feature_space_wider_than_the_basis(n, p):
     cfg = config(domain="star_kite", methods=("qr",), n_values=(n,))
     basis, _ = build_method_context(cfg, "qr", n)
     assert basis.degree == p and 2 * p + 1 > n
+
+
+REPO = Path(__file__).parent.parent
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + sorted(REPO.glob("perfbench/configs/*.cfg"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_degree_rule_on_every_shipped_cell(monkeypatch, path):
+    # p0 from the tolerance, lifted by the width floor, clamped by svd's resolution cap
+    monkeypatch.setattr(bench, "build_qr_basis", lambda setup: setup)
+    monkeypatch.setattr(bench, "build_svd_basis", lambda setup, colloc: setup)
+    cfg = parse_config(path)
+    ws = bench._workspace(cfg)
+    for method in set(cfg.methods) & {"qr", "svd"}:
+        for n in cfg.n_values:
+            colloc, sources, _ = bench._sample(cfg, ws, n)
+            setup, p = bench._build(cfg, method, ws, colloc, sources)
+            p0 = truncation_order(series_ratio(sources, ws.boundary_radius), cfg.tol)
+            if method == "qr":
+                expected = max(p0, (n + 1) // 2)
+            else:
+                expected = min(max(p0, n // 2), (colloc.count - 1) // 2)
+            assert p == setup.degree == expected, (method, n, p0)
 
 
 OFFSET_CURVES = st.builds(

@@ -335,6 +335,23 @@ class TestSizeGuard:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: qr N=10: 10001 x ")
 
+    def test_svd_over_budget_is_refused_before_it_allocates(self, tmp_path, capsys):
+        # unit disk, sources at radius 1.001, N = 4000: the resolution cap gives
+        # p = 3999, and the 10001 x 7999 complex frame needs 1.19 GiB
+        path = tmp_path / "huge_svd.cfg"
+        path.write_text(
+            CONFIG.replace("radius = 2", "radius = 1.001")
+            .replace("methods = direct,svd\nN = 6,8", "methods = svd\nN = 4000")
+        )
+        rc, peak = self.traced_main(["solve", "--config", str(path)])
+        assert rc == 3
+        assert peak < 64 * 2**20
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical failure: 10001 x (2p+1) feature matrix with p > 3354 "
+            "needs more than 1 GiB, over the 1 GiB budget\n"
+        )
+
     DISK = str(pathlib.Path(__file__).parent.parent / "configs" / "disk_growth_law.cfg")
 
     def test_huge_n_is_refused_before_sampling(self, capsys):

@@ -30,7 +30,7 @@ from mfs2d import (
     truncation_order,
 )
 from mfs2d import expansion
-from mfs2d.geometry import PointSet, series_ratio
+from mfs2d.geometry import PointSet, scaled_coordinate, series_ratio
 
 
 def single_source(x, y):
@@ -263,6 +263,15 @@ class TestCappedTruncationOrder:
             setup_expansion(sources, 1.0, n)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_uncapped_setup_is_bounded_in_work(self):
+        # N = 1, q = 1 - 1e-6: p0 = 32531979 fits the 1 GiB byte cap (33554431),
+        # but its power loop alone would take ~30 s; the degree bound refuses it first
+        sources = sample_sources(make_curve("circle", radius=1.0 / (1.0 - 1e-6)), 1)
+        t0 = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=f"p > {expansion.MAX_DEGREE} is over the degree bound"):
+            setup_expansion(sources, 1.0, 1)
+        assert time.perf_counter() - t0 < 2.0
+
     def test_the_budget_cap_leaves_an_order_below_it(self):
         sources = sample_sources(make_curve("circle", radius=1.05), 4)
         setup = setup_expansion(sources, 1.0, 4)
@@ -295,6 +304,14 @@ class TestExpansionMatrix:
         assert row[0] == pytest.approx(math.log(2), abs=1e-15)
         assert row[1] == pytest.approx(-0.25, abs=1e-15)
         assert row[2] == pytest.approx(-0.25, abs=1e-15)
+
+    def test_in_place_division_is_bitwise_the_quotient(self):
+        sources = sample_sources(make_curve("ellipse", a=1.6, b=1.2), 7)
+        mat = expansion_matrix(sources, 1.0, 40).matrix
+        u = 1.0 / scaled_coordinate(sources.points, 1.0)
+        zblock = expansion._powers(u, 40) / (-2.0 * np.arange(1, 41))
+        assert mat[:, 1:41].tobytes() == zblock.tobytes()
+        assert mat[:, 41:].tobytes() == np.conj(zblock).tobytes()
 
     def test_origin_hits_constant_column(self):
         sources = sample_sources(make_curve("circle", radius=2.0), 5)
