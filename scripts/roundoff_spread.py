@@ -6,8 +6,10 @@ CHECKOUT (default: the repository holding this script) is the tree whose
 `src/` is imported, as in `sweep_outputs.py`; CONFIG is a config file path.
 The script runs every svd cell of CONFIG once as is, then once per draw
 (seeds 0, 1, 2) with `mfs2d.linalg.svd_thin` wrapped so that the reduced
-matrix B it factors becomes B + eps |B| (g1 + i g2) / sqrt(2), g1 and g2
-standard normal, elementwise: noise of one rounding error's size.  BLAS runs
+matrix B it factors becomes B + eps |B| g1 when B is real (the real-frame
+coordinates) and B + eps |B| (g1 + i g2) / sqrt(2) when it is complex, g1
+and g2 standard normal, elementwise: noise of one rounding error's size, of
+B's own type, so a checkout of either kind can be measured.  BLAS runs
 on one thread.  For each N it prints the plain cond2 and linf_error and the
 minimum and maximum over the draws.  A change that moves a row by less than
 its spread cannot be told from a change of the last bit of the reduced matrix.
@@ -39,9 +41,11 @@ def _rows(cfg):
 
 
 def _noisy(svd_thin, rng):
-    """svd_thin of a + eps |a| (g1 + i g2) / sqrt(2), g1 and g2 standard normal."""
+    """svd_thin of a + eps |a| g1 (real a) or a + eps |a| (g1 + i g2) / sqrt(2)."""
 
     def wrapped(a):
+        if a.dtype.kind != "c":
+            return svd_thin(a + EPS * abs(a) * rng.standard_normal(a.shape))
         noise = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
         return svd_thin(a + EPS * abs(a) * noise / math.sqrt(2.0))
 

@@ -404,8 +404,10 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
 
     direct (PointSet context): one file, each column a fundamental-solution
     trace normalized to unit max-abs.  svd (SvdBasis context): two files,
-    '<stem>_real<ext>' and '<stem>_imag<ext>', raw values.  qr (QrBasis
-    context): one file, raw values.  Returns the list of paths written.
+    '<stem>_real<ext>' and '<stem>_imag<ext>', raw values; the svd basis is
+    real, so the _imag file is all zeros, kept so the set of files written
+    does not change.  qr (QrBasis context): one file, raw values.  Returns
+    the list of paths written.
     Raises SizeLimitError, before sampling, when the count x width feature
     matrix is over FEATURE_BYTES_MAX, and DegenerateSystemError when a direct
     trace is too small to normalize.

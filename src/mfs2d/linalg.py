@@ -5,9 +5,10 @@ rest of the package relies on: thin SVD with descending singular values,
 minimum-norm least squares, and the 2-norm condition number of (possibly
 rectangular) matrices with an infinity sentinel for numerically singular
 input.  Matrices are dense numpy arrays, row-major, float64 or complex128.
-The arithmetic follows the input: real input (the direct and qr systems)
-takes numpy's real LAPACK path, which does about a quarter of the work of
-the complex path the svd system takes.
+The arithmetic follows the input: real input takes numpy's real LAPACK
+path, which does about a quarter of the work of the complex path.  All three
+solvers' systems are real, and so is the svd backend's reduced matrix; only a
+complex caller takes the complex path.
 """
 
 import numpy as np

@@ -16,13 +16,15 @@ qr      -- MFS-QR (Antunes, Adv. Comput. Math. 44, 2018) on the kernel
            well-scaled.  A scale that underflows is refused.  Conditioning
            grows more slowly than direct but still exponentially off the disk.
 svd     -- sources anywhere outside the scaled boundary disk; the same
-           expansion matrix is pushed through the Arnoldi coupling and an
-           SVD; the rows of the right singular-vector block define a basis
-           whose collocation matrix stays O(1)-conditioned at any N.
+           expansion matrix is pushed through the Arnoldi coupling, folded
+           onto the real frame [q_0, sqrt2 Re q_k, sqrt2 Im q_k] and put
+           through a real SVD; the rows of the right singular-vector block
+           define a basis whose collocation matrix stays O(1)-conditioned
+           at any N.
 
 Every basis is feature rows times a coordinate matrix (basis_values, the one
 dispatch on the context): kernels and identity for direct, Re z^m, Im z^m and
-`transform` for qr, the Arnoldi frame in z and `basis_coords` for svd, where
+`transform` for qr, the real Arnoldi frame in z and `basis_coords` for svd, where
 z = (x + iy)/R about the origin, R the maximum boundary radius.  All three
 evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
 A system matrix is the identity block at the collocation points, so an svd
@@ -125,9 +127,10 @@ class SolveRecord:
 class SvdBasis:
     """Well-conditioned basis from the SVD of the coupled expansion matrix.
 
-    Row n of `basis_coords` holds the coordinates of basis function n in the
-    stacked Arnoldi frame (z block, then the w block without its duplicated
-    constant); the rows are orthonormal.  Because the frame itself is
+    Row n of `basis_coords` holds the real coordinates of basis function n
+    in the real Arnoldi frame [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2
+    Re q_p, sqrt2 Im q_p] of the z factor, the column order of qr's
+    monomials; the rows are orthonormal.  Because the frame itself is
     uniformly well conditioned on the collocation set, the system matrix
     conditioning is bounded by the frame's, independent of N.  `frame_times`
     evaluates the frame at any points, system matrices included, through one
@@ -137,7 +140,7 @@ class SvdBasis:
     Q or R outlives build_svd_basis.
     """
 
-    basis_coords: np.ndarray       # (N, 2p+1) rows of the right singular-vector block
+    basis_coords: np.ndarray       # (N, 2p+1) real rows of the right singular-vector block
     h: np.ndarray                  # (p+1, p) Hessenberg matrix of the z factor
     node_count: int
     scale_radius: float
@@ -145,27 +148,24 @@ class SvdBasis:
     degree: int
 
     def frame_times(self, points, coef) -> np.ndarray:
-        """Frame [q_z0..q_zp, q_w1..q_wp] at (n, 2) points times a (2p+1,) or (2p+1, k) block.
+        """Real frame at (n, 2) points times a (2p+1,) or (2p+1, k) block v.
 
-        The frame itself is never formed.  The w factor is built on conj(z)
-        and is bitwise the conjugate of the z factor, so the w block's part
-        is conj(Q_z @ conj(b)): one replay on z carries the block [a | conj b]
-        and the result is y_a + conj(y_b), formed in place in the replay's
-        (n, 2k) output and copied out once as (n, k).
+        The frame is [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Re q_p,
+        sqrt2 Im q_p] of the z factor, and is never formed.  q_0 is real, so
+        for a real v the product is Re(Q_z @ a) with a_0 = v_0 and a_k =
+        sqrt2 (v_(2k-1) - i v_(2k)): one replay on z over p+1 columns.  A
+        complex v is evaluated as its real and imaginary parts, one replay
+        each, so no part of it is dropped.
         """
+        coef = np.asarray(coef)
+        if np.iscomplexobj(coef):
+            return self.frame_times(points, coef.real) + 1j * self.frame_times(points, coef.imag)
         z = scaled_coordinate(points, self.scale_radius)
         p = self.degree
-        coef = np.asarray(coef)
         cols = coef.reshape(2 * p + 1, -1)
-        k = cols.shape[1]
-        block = np.zeros((p + 1, 2 * k), dtype=complex)
-        block[:, :k] = cols[: p + 1]
-        np.conj(cols[p + 1 :], out=block[1:, k:])
-        y = evaluate_basis(self, z, block)
-        left, right = y[:, :k], y[:, k:]
-        np.conj(right, out=right)
-        left += right
-        return left.copy().reshape(z.shape + coef.shape[1:])
+        a = np.vstack([cols[:1], math.sqrt(2.0) * (cols[1::2] - 1j * cols[2::2])])
+        y = evaluate_basis(self, z, a)
+        return np.ascontiguousarray(y.real).reshape(z.shape + coef.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -264,6 +264,23 @@ def solve_direct(a: np.ndarray, g_values, sources: Optional[PointSet] = None) ->
 # --- svd backend -------------------------------------------------------------
 
 
+def real_frame_coords(reduced: np.ndarray) -> np.ndarray:
+    """Re(reduced conj T): the rows of `reduced` on the real frame, (N, 2p+1) real.
+
+    `reduced` holds rows on the stacked frame [q_0..q_p, conj q_1..conj q_p]
+    (z block a, w block b); T is the unitary with stacked frame @ T = [q_0,
+    sqrt2 Re q_1, sqrt2 Im q_1, ...].  The kernels are real, so b = conj(a)
+    up to roundoff, and the imaginary part dropped is that roundoff.
+    """
+    p = reduced.shape[1] // 2
+    a, b = reduced[:, 1 : p + 1], reduced[:, p + 1 :]
+    c = np.empty(reduced.shape)
+    c[:, 0] = reduced[:, 0].real
+    c[:, 1::2] = (a.real + b.real) / math.sqrt(2.0)
+    c[:, 2::2] = (b.imag - a.imag) / math.sqrt(2.0)
+    return c
+
+
 def build_svd_basis(
     setup: ExpansionSetup, colloc: PointSet, rank_tol: float = 0.0
 ) -> SvdBasis:
@@ -271,7 +288,8 @@ def build_svd_basis(
 
     Runs independent Arnoldi factorizations on the scaled boundary nodes
     z_i = (x_i + i y_i)/R and their conjugates, couples them with the
-    expansion matrix, and takes the SVD of the product; the right
+    expansion matrix, folds the product onto the real frame
+    (real_frame_coords) and takes its SVD in real arithmetic; the right
     singular-vector rows define the new basis.  Both factors are dropped
     once the product is formed, before the SVD: the basis keeps only the z
     factor's Hessenberg matrix for the replay.
@@ -299,8 +317,8 @@ def build_svd_basis(
     w_factor = arnoldi_vandermonde(np.conj(z), p)
     reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1)
     h = z_factor.h
-    del z_factor, w_factor    # free both (M, p+1) Q and R before the SVD, the cell's peak
-    _, s, vh = linalg.svd_thin(reduced)
+    del z_factor, w_factor    # free both (M, p+1) Q and R before the SVD
+    _, s, vh = linalg.svd_thin(real_frame_coords(reduced))
     if s[-1] <= rank_tol * s[0]:
         raise RankDeficiencyError(s[max(0, n - 3) :].tolist())
     return SvdBasis(
@@ -314,12 +332,12 @@ def build_svd_basis(
 
 
 def assemble_svd_system(basis: SvdBasis, colloc: PointSet) -> np.ndarray:
-    """System matrix (M, N) complex: the basis values at the collocation points."""
+    """System matrix (M, N) real float64: the basis values at the collocation points."""
     return basis_values(basis, colloc.points)
 
 
 def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
-    """Complex least-squares solve in the well-conditioned basis."""
+    """Least-squares solve of the (real) system in the well-conditioned basis."""
     return _solve("svd", a, g_values, basis)
 
 

@@ -350,6 +350,15 @@ class TestBasisSamples:
             assert lines[0] == "t," + ",".join(f"phi{i}" for i in range(1, 7))
             assert len(lines) == 33
 
+    def test_svd_imag_file_is_all_zeros(self, tmp_path):
+        # the svd basis is real; the _imag file is still written, all zeros
+        cfg = config(n_values=(6,))
+        context, ws = build_method_context(cfg, "svd", 6)
+        real, imag = emit_basis_samples(context, ws.domain, 32, tmp_path / "svd.csv")
+        values = np.loadtxt(imag, delimiter=",", skiprows=1)
+        assert np.array_equal(values[:, 0], np.loadtxt(real, delimiter=",", skiprows=1)[:, 0])
+        assert not np.any(values[:, 1:])
+
     def test_sampled_gram_matches_stored_factors(self, tmp_path):
         # emit at exactly the collocation parameters and compare discrete
         # inner products against the assembled system matrix

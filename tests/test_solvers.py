@@ -33,7 +33,7 @@ from mfs2d import (
     solve_svd,
 )
 from mfs2d import arnoldi, solvers
-from mfs2d.arnoldi import arnoldi_vandermonde, evaluate_basis
+from mfs2d.arnoldi import arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from mfs2d.bench import build_method_context, emit_basis_samples
 from mfs2d.geometry import PointSet, scaled_coordinate
 
@@ -41,6 +41,17 @@ from mfs2d.geometry import PointSet, scaled_coordinate
 def point_set(coords):
     pts = np.asarray(coords, dtype=float)
     return PointSet(points=pts, params=np.zeros(len(pts)))
+
+
+def real_frame_map(p):
+    """Unitary T (2p+1, 2p+1) with [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ...] = [q_0..q_p, conj q_1..conj q_p] @ T."""
+    t = np.zeros((2 * p + 1, 2 * p + 1), dtype=complex)
+    t[0, 0] = 1.0
+    k = np.arange(1, p + 1)
+    r = 1.0 / math.sqrt(2.0)
+    t[k, 2 * k - 1] = t[p + k, 2 * k - 1] = r
+    t[k, 2 * k], t[p + k, 2 * k] = -1j * r, 1j * r
+    return t
 
 
 def svd_pipeline(domain, source, n, data, m_rule=2):
@@ -301,6 +312,23 @@ class TestSvdBasis:
             tracemalloc.stop()
         assert peak < 34 * 2**20
 
+    def test_real_assembly_peak_memory(self):
+        # star svd N=500 (M=1000, p=250): the real system is 3.8 MiB; traced
+        # assembly peak 13.9 MiB, 26.7 MiB while the frame was complex and stacked
+        curve = make_curve("star_kite")
+        n, m = 500, 1000
+        colloc = sample_collocation(curve, m)
+        sources = sample_sources(make_curve("circle", radius=2.0), n)
+        setup = setup_expansion(sources, max_boundary_radius(curve), n, max_degree=(m - 1) // 2)
+        basis = build_svd_basis(setup, colloc)
+        tracemalloc.start()
+        try:
+            assemble_svd_system(basis, colloc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_duplicate_sources_flagged_by_rank_tolerance(self):
         domain = make_curve("circle")
         colloc = sample_collocation(domain, 16)
@@ -313,17 +341,22 @@ class TestSvdBasis:
             build_svd_basis(setup, colloc, rank_tol=1e-13)
         build_svd_basis(setup, colloc)    # default tolerance accepts it
 
-    @pytest.mark.parametrize(
-        "domain, source_radius, n", [("star_kite", 2.0, 200), ("circle", 1.03, 250)]
-    )
-    def test_single_replay_matches_both_factors(self, domain, source_radius, n):
+    @staticmethod
+    def cell(domain, source_radius, n):
+        """(curve, collocation set, setup, basis) of an svd cell with M = 2N."""
         curve = make_curve(domain)
         colloc = sample_collocation(curve, 2 * n)
         sources = sample_sources(make_curve("circle", radius=source_radius), n)
         setup = setup_expansion(
             sources, max_boundary_radius(curve), n, max_degree=(2 * n - 1) // 2
         )
-        basis = build_svd_basis(setup, colloc)
+        return curve, colloc, setup, build_svd_basis(setup, colloc)
+
+    @pytest.mark.parametrize(
+        "domain, source_radius, n", [("star_kite", 2.0, 200), ("circle", 1.03, 250)]
+    )
+    def test_single_replay_matches_both_factors(self, domain, source_radius, n):
+        curve, colloc, _, basis = self.cell(domain, source_radius, n)
         p = basis.degree
 
         def nodes(points):
@@ -340,12 +373,61 @@ class TestSvdBasis:
         z = nodes(pts)
         rng = np.random.default_rng(n)
         coef = rng.normal(size=(2 * p + 1, 3)) + 1j * rng.normal(size=(2 * p + 1, 3))
-        w_block = np.vstack([np.zeros((1, 3)), coef[p + 1 :]])
-        both = evaluate_basis(z_factor, z, coef[: p + 1])
+        # the real frame is the stacked frame [q_z0..q_zp, q_w1..q_wp] times T
+        stacked = real_frame_map(p) @ coef
+        w_block = np.vstack([np.zeros((1, 3)), stacked[p + 1 :]])
+        both = evaluate_basis(z_factor, z, stacked[: p + 1])
         both += evaluate_basis(w_factor, np.conj(z), w_block)
         one = basis.frame_times(pts, coef)
         assert one.shape == both.shape
         assert np.max(np.abs(one - both)) <= 1e-13 * np.max(np.abs(both))
+
+    @pytest.mark.parametrize("p", [0, 1, 7, 250])
+    def test_real_frame_map_is_unitary(self, p):
+        t = real_frame_map(p)
+        assert np.max(np.abs(t.conj().T @ t - np.eye(2 * p + 1))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "domain, source_radius, n", [("star_kite", 2.0, 200), ("circle", 1.03, 250)]
+    )
+    def test_fold_drops_only_roundoff(self, domain, source_radius, n):
+        # the kernels are real, so the reduced matrix on the real frame is real
+        # up to roundoff; a w half that is not the conjugate of the z half shows
+        # up as a large imaginary part here
+        _, colloc, setup, basis = self.cell(domain, source_radius, n)
+        p = basis.degree
+        z = scaled_coordinate(colloc.points, basis.scale_radius)
+        k = coupling_matrix(arnoldi_vandermonde(z, p), arnoldi_vandermonde(np.conj(z), p))
+        reduced = setup.matrix @ k
+        on_real_frame = reduced @ np.conj(real_frame_map(p))
+        scale = np.max(np.abs(reduced))
+        assert np.max(np.abs(on_real_frame.imag)) <= 1e-13 * scale
+        folded = solvers.real_frame_coords(reduced)
+        assert folded.dtype == np.float64
+        assert np.max(np.abs(folded - on_real_frame.real)) <= 1e-14 * scale
+
+    def test_complex_coefficients_keep_their_imaginary_part(self):
+        # the frame is real, so a complex block is its real and imaginary parts
+        # evaluated apart; taking the real part of the block would drop one
+        data = make_boundary_data("x2y3")
+        basis, _, _, colloc = svd_pipeline(make_curve("star_kite"), make_curve("circle", radius=2.0), 20, data)
+        rng = np.random.default_rng(3)
+        re, im = rng.normal(size=(2, 2 * basis.degree + 1, 2))
+        real_part = basis.frame_times(colloc.points, re)
+        imag_part = basis.frame_times(colloc.points, im)
+        got = basis.frame_times(colloc.points, re + 1j * im)
+        assert np.array_equal(got.real, real_part)
+        assert np.array_equal(got.imag, imag_part)
+        assert np.max(np.abs(got.imag)) > 0.1
+
+    def test_system_and_rows_are_real(self):
+        data = make_boundary_data("x2y3")
+        basis, a, _, _ = svd_pipeline(make_curve("star_kite"), make_curve("circle", radius=2.0), 50, data)
+        assert basis.basis_coords.dtype == np.float64
+        assert a.dtype == np.float64
+        for n in (50, 200):
+            row = run_single(star_config("svd", n), "svd", n)[0]
+            assert row.max_imag == 0.0
 
     def test_frame_larger_than_grid_rejected(self):
         domain = make_curve("circle")
@@ -575,9 +657,9 @@ class TestEvaluation:
         assert boundary_error(record, domain, data) <= 1e-12
 
 
-def star_cell(method, n):
-    """Solved record of one star_kite cell with sources on the radius-2 circle."""
-    cfg = ExperimentConfig(
+def star_config(method, n):
+    """Config of one star_kite cell with sources on the radius-2 circle."""
+    return ExperimentConfig(
         domain="star_kite",
         source="circle",
         source_params={"radius": 2.0},
@@ -586,7 +668,11 @@ def star_cell(method, n):
         n_values=(n,),
         timing=False,
     )
-    return run_single(cfg, method, n)[1]
+
+
+def star_cell(method, n):
+    """Solved record of one star_kite cell with sources on the radius-2 circle."""
+    return run_single(star_config(method, n), method, n)[1]
 
 
 class TestCoefficientFirstEvaluation:
@@ -629,13 +715,18 @@ class TestCoefficientFirstEvaluation:
         assert np.array_equal(evaluate_solution(record, None, pts), expected)
 
     def test_svd_evaluation_at_the_collocation_points_is_the_system_product(self):
-        # the replayed system matrix against the factors' own Q, stacked as
-        # [Q_z, conj(Q_z) without its constant column] (w factor = conj z factor)
+        # the replayed system matrix against the real frame built from the
+        # factor's own Q: [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Im q_p]
         basis = star_cell("svd", 200).context
         colloc = sample_collocation(make_curve("star_kite"), 400)
         q = arnoldi_vandermonde(scaled_coordinate(colloc.points, basis.scale_radius), basis.degree).q
-        expected = np.hstack([q, np.conj(q[:, 1:])]) @ basis.basis_coords.T
+        frame = np.empty((q.shape[0], 2 * basis.degree + 1))
+        frame[:, 0] = q[:, 0].real
+        frame[:, 1::2] = math.sqrt(2.0) * q[:, 1:].real
+        frame[:, 2::2] = math.sqrt(2.0) * q[:, 1:].imag
+        expected = frame @ basis.basis_coords.T
         got = assemble_svd_system(basis, colloc)
+        assert got.dtype == np.float64
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_svd_boundary_error_never_forms_the_frame(self):
