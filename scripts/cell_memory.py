@@ -14,8 +14,8 @@ up, and when each returns the script records the process's resident set
     before          after imports, config parsing and the workspace
     setup           the expansion (svd, qr: setup_expansion)
     factor z/w      each Arnoldi factorization (svd)
-    coupling        the reduced matrix, formed and folded onto the real frame,
-                    as the SVD is entered (svd)
+    coupling        the real reduced matrix, the expansion matrix times the
+                    real coupling, formed as the SVD is entered (svd)
     reduced SVD     the SVD of the reduced matrix (svd)
     build           the basis returned (svd, qr)
     assembly        the system matrix

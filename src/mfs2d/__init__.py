@@ -40,9 +40,9 @@ from .expansion import (
     expansion_degree,
     expansion_matrix,
     fundamental_solution,
-    harmonic_monomials,
     hurwitz_lerch_phi1,
     log_kernel,
+    real_monomials,
     setup_expansion,
     truncation_order,
 )

@@ -154,23 +154,30 @@ def evaluate_basis(factor, new_nodes, coef) -> np.ndarray:
 
 
 def coupling_matrix(z_factor: ArnoldiFactor, w_factor: ArnoldiFactor) -> np.ndarray:
-    """Square matrix expressing monomial features in the stacked Arnoldi frame.
+    """Real coordinates C of the real monomials on the real Arnoldi frame.
 
-    For factors of degree p on nodes z and w = conj(z), the feature vector
-    [1, z..z^p, w..w^p] equals this (2p+1, 2p+1) matrix applied to the
-    stacked basis values [q_z0..q_zp, q_w1..q_wp].  Both Arnoldi runs start
-    from the same constant vector, so the w-side constant column duplicates
-    the z-side one; the frame keeps a single copy and the w-monomial rows
-    route their constant coordinate through it.  That makes the frame full
-    column rank and the matrix invertible (block triangular with nonsingular
-    triangular diagonal blocks).
+    For factors of degree p on nodes z and w = conj(z), the real monomials
+    [1, Re z, Im z, ..., Re z^p, Im z^p] equal frame @ C.T, the real frame
+    being [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Re q_p, sqrt2 Im q_p]
+    of the z factor; C is real and (2p+1, 2p+1).  With q_k = a_k + i b_k and
+    the w factor's q_k = conj(q_k), z^m + w^m = sum_k (a_k S_km + i b_k D_km)
+    for S = R_z + R_w and D = R_z - R_w, so Re z^m carries Re S_km / 2 on a_k
+    and -Im D_km / 2 on b_k, and Im z^m carries Im D_km / 2 and Re S_km / 2.
+    The parts of S and D dropped are roundoff (exactly 0 when R_w = conj(R_z),
+    as the two runs give bitwise).  C is block upper triangular with
+    nonsingular 2 x 2 diagonal blocks, so it is invertible.
     """
     p = z_factor.degree
     if w_factor.degree != p:
         raise ValueError("z and w factors must have equal degree")
-    k = np.zeros((2 * p + 1, 2 * p + 1), dtype=complex)
-    k[: p + 1, : p + 1] = z_factor.r.T
-    if p > 0:
-        k[p + 1 :, 0] = w_factor.r[0, 1:]
-        k[p + 1 :, p + 1 :] = w_factor.r[1:, 1:].T
-    return k
+    re = 0.5 * (z_factor.r + w_factor.r).real    # Re S / 2 = Re R_z
+    im = 0.5 * (z_factor.r - w_factor.r).imag    # Im D / 2 = Im R_z
+    re[1:] /= np.sqrt(2.0)    # frame columns k >= 1 carry sqrt2
+    im[1:] /= np.sqrt(2.0)
+    c = np.zeros((2 * p + 1, 2 * p + 1))
+    c[0, 0] = re[0, 0]
+    c[1::2, 0], c[2::2, 0] = re[0, 1:], im[0, 1:]
+    c[1::2, 1::2] = c[2::2, 2::2] = re[1:, 1:].T
+    c[1::2, 2::2] = -im[1:, 1:].T
+    c[2::2, 1::2] = im[1:, 1:].T
+    return c

@@ -1,20 +1,21 @@
-"""Log-kernel expansion in powers of one complex coordinate.
+"""Log-kernel expansion in real harmonic monomials of one complex coordinate.
 
 A point x = (x, y) is taken as z = (x + iy)/R about the origin, R the
 maximum boundary radius, and each exterior source y_j, read as a complex
 number, as u_j = R/y_j.  For |z| <= 1 < 1/|u_j| the log kernel expands as
 
     log|x - y_j| = log|y_j| - Re sum_{m>=1} (z u_j)^m / m
-                 = log|y_j| - sum_{m>=1} (u_j^m z^m + conj(u_j)^m w^m) / (2m),  w = conj(z).
+                 = log|y_j| + sum_{m>=1} (-Re u_j^m Re z^m + Im u_j^m Im z^m) / m.
 
 The series converges geometrically with ratio q = max_j |u_j| < 1; the
 truncation order is chosen so the tail, bounded by q^{p+1} * Phi(q, 1, p+1)
 with Phi the Hurwitz-Lerch transcendent at s=1, drops below a tolerance.
-The expansion matrix maps the monomial feature vector
+The real expansion matrix maps the real monomial feature vector
 
-    F(z) = [1, z, ..., z^p, w, ..., w^p]
+    F(z) = [1, Re z, Im z, ..., Re z^p, Im z^p]
 
-to the vector of kernel values for all sources.
+(real_monomials, the one feature writer) to the vector of kernel values for
+all sources: row j is log|y_j|, then the float view of conj(u_j^m) / (-m).
 """
 
 import math
@@ -29,10 +30,11 @@ from .geometry import PointSet, scaled_coordinate, series_ratio
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 # Default byte budget of one feature matrix.  bench charges every cell's widest
 # matrix to it: direct's rows x N kernels, qr's rows x (2p+1) real monomials and
-# svd's complex frame; the backends evaluate those in blocks of points, so it
-# bounds N and p, and with them the work, not memory held.  setup_expansion
-# refuses a degree over a caller's budget, by default the N x (2p+1) complex
-# expansion matrix it forms itself.
+# svd's frame at 16 bytes an entry; the backends evaluate those in blocks of
+# points, so it bounds N and p, and with them the work, not memory held.
+# setup_expansion refuses a degree over a caller's budget, by default 16 bytes
+# for each of the N x (2p+1) expansion entries: twice the real matrix's bytes,
+# a charge that bounds the work of an uncapped call (order search, power loop).
 FEATURE_BYTES_MAX = 1 << 30
 # Work bound of the degree rule: the order search and the power loop take O(p) steps
 MAX_DEGREE = 1 << 22
@@ -182,35 +184,27 @@ def _powers(z: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarr
     return out
 
 
-def harmonic_monomials(radii, angles, scale_radius: float, degree: int) -> np.ndarray:
-    """Feature matrix [1, z..z^p, w..w^p] at polar points, z = (r/R) e^{i theta}, w = conj(z).
-
-    Returns shape (n_points, 2*degree + 1).
-    """
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
-    th = np.atleast_1d(np.asarray(angles, dtype=float))
-    z = (r / scale_radius) * np.exp(1j * th)
-    zp = _powers(z, degree)
-    out = np.empty((r.shape[0], 2 * degree + 1), dtype=complex)
+def real_monomials(z: np.ndarray, degree: int, out=None) -> np.ndarray:
+    """[1, Re z, Im z, ..., Re z^p, Im z^p]: 1, then the float view of _powers, shape (n, 2p+1)."""
+    out = np.empty((z.shape[0], 2 * degree + 1)) if out is None else out
     out[:, 0] = 1.0
-    out[:, 1 : degree + 1] = zp
-    out[:, degree + 1 :] = np.conj(zp)
+    _powers(z, degree, out=out[:, 1:].view(complex))
     return out
 
 
 @dataclass(frozen=True)
 class ExpansionSetup:
-    """Truncated expansion of all source kernels in scaled harmonic monomials.
+    """Truncated expansion of all source kernels in scaled real harmonic monomials.
 
-    `matrix` has one row per source and columns matching harmonic_monomials:
-    column 0 holds log|y_j|, the z-power block holds -u_j^m / (2m) with
-    u_j = R/y_j, and the w-power block its conjugate.
+    `matrix` is real, one row per source, with columns matching real_monomials
+    [1, Re z, Im z, ..., Re z^p, Im z^p]: column 0 holds log|y_j| and columns
+    2m-1, 2m hold -Re u_j^m / m and Im u_j^m / m, u_j = R/y_j.
     """
 
     scale_radius: float
     base_order: Optional[int]    # tolerance-driven order before the degree floor
     degree: int
-    matrix: np.ndarray           # (N, 2*degree + 1) complex
+    matrix: np.ndarray           # (N, 2*degree + 1) float64
     sources: PointSet
 
     @property
@@ -218,8 +212,10 @@ class ExpansionSetup:
         return self.sources.count
 
     def kernel_values(self, radii, angles) -> np.ndarray:
-        """Expanded log-kernel values, shape (N, n_points)."""
-        feats = harmonic_monomials(radii, angles, self.scale_radius, self.degree)
+        """Expanded log-kernel values at polar points, shape (N, n_points), real."""
+        r = np.atleast_1d(np.asarray(radii, dtype=float))
+        th = np.atleast_1d(np.asarray(angles, dtype=float))
+        feats = real_monomials((r / self.scale_radius) * np.exp(1j * th), self.degree)
         return self.matrix @ feats.T
 
 
@@ -229,7 +225,7 @@ def expansion_matrix(
     degree: int,
     base_order: Optional[int] = None,
 ) -> ExpansionSetup:
-    """Build the (N, 2*degree+1) expansion matrix for the given sources.
+    """Build the real (N, 2*degree+1) expansion matrix for the given sources.
 
     Raises
     ------
@@ -247,12 +243,11 @@ def expansion_matrix(
     n = sources.count
     if 2 * degree + 1 < n:
         raise ValueError(f"degree {degree} too small for {n} sources (need 2p+1 >= N)")
-    zblock = _powers(u, degree)
-    zblock /= -2.0 * np.arange(1, degree + 1)    # in place, bitwise the same as a new quotient
-    mat = np.empty((n, 2 * degree + 1), dtype=complex)
+    mat = real_monomials(u, degree)
     mat[:, 0] = np.log(scale_radius * np.abs(z))
-    mat[:, 1 : degree + 1] = zblock
-    np.conjugate(zblock, out=mat[:, degree + 1 :])
+    block = mat[:, 1:].view(complex)    # u^m, then conj(u^m) / (-m), all in place
+    np.conjugate(block, out=block)
+    block /= -np.arange(1, degree + 1.0)
     return ExpansionSetup(
         scale_radius=float(scale_radius),
         base_order=base_order,
@@ -279,8 +274,8 @@ def setup_expansion(
       M collocation points resolve the frame.  The tail left out,
       kernel_tail(q, p), can be far above tol (0.36 for q = 1/1.03, p = 24).
     - The budget refuses: `budget` = (rows, itemsize, max_bytes) bounds the
-      caller's rows x (2p+1) feature matrix; by default it is the N x (2p+1)
-      complex expansion matrix in FEATURE_BYTES_MAX.  p is also at most
+      caller's rows x (2p+1) feature matrix; by default it charges 16 bytes
+      to each N x (2p+1) expansion entry in FEATURE_BYTES_MAX.  p is also at most
       MAX_DEGREE, which bounds the O(p) order search and power loop (about 4 s
       at N = 1).  SizeLimitError is raised before any matrix is formed, and
       the order search stops at the bound, so a ratio near 1 ends quickly.

@@ -7,8 +7,9 @@ rectangular) matrices with an infinity sentinel for numerically singular
 input.  Matrices are dense numpy arrays, row-major, float64 or complex128.
 The arithmetic follows the input: real input takes numpy's real LAPACK
 path, which does about a quarter of the work of the complex path.  All three
-solvers' systems are real, and so is the svd backend's reduced matrix; only a
-complex caller takes the complex path.
+solvers' systems are real, and so is the svd backend's reduced matrix, one
+real product of the expansion matrix and the Arnoldi coupling; only a complex
+caller takes the complex path.
 """
 
 import numpy as np

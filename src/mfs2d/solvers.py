@@ -10,17 +10,17 @@ direct  -- kernel basis as-is; matrix entry (i, j) is the fundamental
            pre-scaled by an exact 2^-k only beyond 2^500).  Simple and
            accurate until its conditioning blows up exponentially with N.
 qr      -- MFS-QR (Antunes, Adv. Comput. Math. 44, 2018) on the kernel
-           expansion matrix: sources on a common circle, the matrix's real
-           form is QR-factorized and each row of the triangular factor is
+           expansion matrix: sources on a common circle, the real matrix
+           is QR-factorized and each row of the triangular factor is
            divided by its scale (R/rho)^m / m, so the basis change stays
            well-scaled.  A scale that underflows is refused.  Conditioning
            grows more slowly than direct but still exponentially off the disk.
 svd     -- sources anywhere outside the scaled boundary disk; the same
-           expansion matrix is pushed through the Arnoldi coupling, folded
-           onto the real frame [q_0, sqrt2 Re q_k, sqrt2 Im q_k] and put
-           through a real SVD; the rows of the right singular-vector block
-           define a basis whose collocation matrix stays O(1)-conditioned
-           at any N.
+           real expansion matrix times the real Arnoldi coupling gives the
+           kernels' coordinates on the real frame [q_0, sqrt2 Re q_k,
+           sqrt2 Im q_k], and a real SVD of that product follows; the rows
+           of the right singular-vector block define a basis whose
+           collocation matrix stays O(1)-conditioned at any N.
 
 Every basis is feature rows times a coordinate matrix (basis_values, the one
 dispatch on the context): kernels and identity for direct, Re z^m, Im z^m and
@@ -44,7 +44,7 @@ import numpy as np
 from . import arnoldi, linalg
 from .arnoldi import arnoldi_vandermonde, coupling_matrix, evaluate_basis
 from .errors import ConfigError, DegenerateSystemError, RankDeficiencyError, SingularityError
-from .expansion import ExpansionSetup, _powers
+from .expansion import ExpansionSetup, real_monomials
 from .geometry import BoundaryCurve, PointSet, sample_collocation, scaled_coordinate
 
 _COINCIDENCE_RTOL = 1e-14
@@ -175,9 +175,9 @@ class QrBasis:
     Basis function n at (x, y) is row n of `transform` applied to
     [1, Re z, Im z, ..., Re z^p, Im z^p] with z = (x + iy) / scale_radius
     (R, the maximum boundary radius): 1, then the float view of the complex
-    powers z^1 .. z^p, the layout build_qr_basis takes of the expansion
-    matrix.  Every monomial is O(1) on the boundary and the R^m growth sits
-    in the row scales (R/rho)^m / m of `transform` instead.
+    powers z^1 .. z^p, the column layout of the expansion matrix.  Every
+    monomial is O(1) on the boundary and the R^m growth sits in the row
+    scales (R/rho)^m / m of `transform` instead.
     """
 
     transform: np.ndarray    # (N, 2p+1) real
@@ -264,35 +264,18 @@ def solve_direct(a: np.ndarray, g_values, sources: Optional[PointSet] = None) ->
 # --- svd backend -------------------------------------------------------------
 
 
-def real_frame_coords(reduced: np.ndarray) -> np.ndarray:
-    """Re(reduced conj T): the rows of `reduced` on the real frame, (N, 2p+1) real.
-
-    `reduced` holds rows on the stacked frame [q_0..q_p, conj q_1..conj q_p]
-    (z block a, w block b); T is the unitary with stacked frame @ T = [q_0,
-    sqrt2 Re q_1, sqrt2 Im q_1, ...].  The kernels are real, so b = conj(a)
-    up to roundoff, and the imaginary part dropped is that roundoff.
-    """
-    p = reduced.shape[1] // 2
-    a, b = reduced[:, 1 : p + 1], reduced[:, p + 1 :]
-    c = np.empty(reduced.shape)
-    c[:, 0] = reduced[:, 0].real
-    c[:, 1::2] = (a.real + b.real) / math.sqrt(2.0)
-    c[:, 2::2] = (b.imag - a.imag) / math.sqrt(2.0)
-    return c
-
-
 def build_svd_basis(
     setup: ExpansionSetup, colloc: PointSet, rank_tol: float = 0.0
 ) -> SvdBasis:
     """Construct the well-conditioned basis on the given collocation set.
 
     Runs independent Arnoldi factorizations on the scaled boundary nodes
-    z_i = (x_i + i y_i)/R and their conjugates, couples them with the
-    expansion matrix, folds the product onto the real frame
-    (real_frame_coords) and takes its SVD in real arithmetic; the right
-    singular-vector rows define the new basis.  Both factors are dropped
-    once the product is formed, before the SVD: the basis keeps only the z
-    factor's Hessenberg matrix for the replay.
+    z_i = (x_i + i y_i)/R and their conjugates; the real expansion matrix
+    times their real coupling is the kernels' coordinates on the real frame,
+    and its SVD, in real arithmetic, gives the right singular-vector rows
+    that define the new basis.  Both factors are dropped once the product is
+    formed, before the SVD: the basis keeps only the z factor's Hessenberg
+    matrix for the replay.
 
     The trailing singular values decay exponentially with the basis size
     (they mirror the conditioning of the kernel basis itself), which is
@@ -315,10 +298,10 @@ def build_svd_basis(
     z = scaled_coordinate(colloc.points, setup.scale_radius)
     z_factor = arnoldi_vandermonde(z, p)
     w_factor = arnoldi_vandermonde(np.conj(z), p)
-    reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1)
+    reduced = setup.matrix @ coupling_matrix(z_factor, w_factor)    # (N, 2p+1) real
     h = z_factor.h
     del z_factor, w_factor    # free both (M, p+1) Q and R before the SVD
-    _, s, vh = linalg.svd_thin(real_frame_coords(reduced))
+    _, s, vh = linalg.svd_thin(reduced)
     if s[-1] <= rank_tol * s[0]:
         raise RankDeficiencyError(s[max(0, n - 3) :].tolist())
     return SvdBasis(
@@ -344,24 +327,16 @@ def solve_svd(basis: SvdBasis, a: np.ndarray, g_values) -> SolveRecord:
 # --- qr backend --------------------------------------------------------------
 
 
-def _real_monomials(z: np.ndarray, degree: int, out=None) -> np.ndarray:
-    """[1, Re z, Im z, ..., Re z^p, Im z^p]: 1, then the float view of _powers, shape (n, 2p+1)."""
-    out = np.empty((z.shape[0], 2 * degree + 1)) if out is None else out
-    out[:, 0] = 1.0
-    _powers(z, degree, out=out[:, 1:].view(complex))
-    return out
-
-
 def build_qr_basis(setup: ExpansionSetup) -> QrBasis:
     """MFS-QR basis for sources on a common origin-centered circle of radius rho.
 
     This is the MFS-QR of Antunes, "Reducing the ill conditioning in the
     method of fundamental solutions", Adv. Comput. Math. 44 (2018), on the
     expansion matrix svd also uses: `setup` carries the sources, the degree
-    p and R (the scale radius) as build_svd_basis takes them.  Its real form
-    [log|y_j|, 2 Re b_jm, -2 Im b_jm] (b_jm = -u_j^m / (2m)) is the
-    trigonometric matrix [-1, -cos(m a_j), -sin(m a_j)] times diag(d),
-    d_0 = log(1/rho) and d_m = (R/rho)^m / m.  It is QR-factorized and row k
+    p and R (the scale radius) as build_svd_basis takes them.  That real
+    matrix [log|y_j|, -Re u_j^m / m, Im u_j^m / m] is the trigonometric
+    matrix [-1, -cos(m a_j), -sin(m a_j)] times diag(d), d_0 = log(1/rho)
+    and d_m = (R/rho)^m / m.  It is QR-factorized and row k
     of the triangular factor is divided by d_k, which flattens the kernel's
     geometric decay.  The transform acts on Re z^m, Im z^m of z = (x + iy)/R,
     so the system matrix columns stay O(1) on a boundary of maximum radius R.
@@ -387,9 +362,7 @@ def build_qr_basis(setup: ExpansionSetup) -> QrBasis:
     eps = 1.0 / radius
     if eps == 1.0:
         raise ConfigError("qr backend is undefined for source radius exactly 1")
-    e = setup.matrix
-    real = np.column_stack([e[:, 0].real, (2 * np.conj(e[:, 1 : p + 1])).view(float)])
-    r = np.linalg.qr(real, mode="r")    # (N, 2p+1)
+    r = np.linalg.qr(setup.matrix, mode="r")    # (N, 2p+1)
     m = np.arange(2, n + 1) // 2    # the degree of rows 1 .. N-1
     d = np.concatenate(([math.log(eps)], (setup.scale_radius * eps) ** m / m))
     if abs(d[-1]) < np.finfo(float).tiny:
@@ -441,7 +414,7 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
         width, step = 2 * context.degree + 1, arnoldi.CHUNK
 
         def fill(lo, rows):
-            _real_monomials(z[lo : lo + rows.shape[0]], context.degree, out=rows)
+            real_monomials(z[lo : lo + rows.shape[0]], context.degree, out=rows)
 
         coords = context.transform.T if coef is None else context.transform.T @ coef
     else:

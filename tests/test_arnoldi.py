@@ -204,27 +204,47 @@ class TestEvaluateBasis:
         assert np.max(np.abs(direct - via_basis)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 
+def real_frame(fac):
+    """[q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Re q_p, sqrt2 Im q_p] of a factor."""
+    q = fac.q
+    out = np.empty((q.shape[0], 2 * fac.degree + 1))
+    out[:, 0] = q[:, 0].real
+    out[:, 1::2] = np.sqrt(2.0) * q[:, 1:].real
+    out[:, 2::2] = np.sqrt(2.0) * q[:, 1:].imag
+    return out
+
+
+def real_vander(nodes, degree):
+    """[1, Re z, Im z, ..., Re z^p, Im z^p] by direct powers."""
+    v = vander(nodes, degree)
+    out = np.empty((nodes.shape[0], 2 * degree + 1))
+    out[:, 0] = 1.0
+    out[:, 1::2], out[:, 2::2] = v[:, 1:].real, v[:, 1:].imag
+    return out
+
+
 class TestCouplingMatrix:
     def test_degree_one_structure(self):
+        # 1 = q_0 R_00 and z = q_0 R_01 + q_1 R_11 with R_11 real: on the frame
+        # [q_0, sqrt2 Re q_1, sqrt2 Im q_1], Re z and Im z each take one column
         nodes = star_nodes(32)
         zf = arnoldi_vandermonde(nodes, 1)
         wf = arnoldi_vandermonde(np.conj(nodes), 1)
-        k = coupling_matrix(zf, wf)
-        assert k.shape == (3, 3)
-        assert k[0, 0] == zf.r[0, 0]
-        assert k[1, 1] == zf.r[1, 1]
-        assert k[2, 2] == wf.r[1, 1]
-        assert k[0, 2] == 0.0 and k[1, 2] == 0.0 and k[2, 1] == 0.0
+        c = coupling_matrix(zf, wf)
+        assert c.shape == (3, 3) and c.dtype == np.float64
+        assert c[0, 0] == zf.r[0, 0].real
+        assert c[1, 0] == zf.r[0, 1].real and c[2, 0] == zf.r[0, 1].imag
+        assert c[1, 1] == c[2, 2] == zf.r[1, 1].real / np.sqrt(2.0)
+        assert c[0, 1] == c[0, 2] == 0.0
+        assert c[1, 2] == c[2, 1] == 0.0    # Im R_11 = 0
 
     def test_reconstructs_features(self):
         nodes = star_nodes(64)
         p = 9
         zf = arnoldi_vandermonde(nodes, p)
         wf = arnoldi_vandermonde(np.conj(nodes), p)
-        k = coupling_matrix(zf, wf)
-        features = np.hstack([vander(nodes, p), vander(np.conj(nodes), p)[:, 1:]])
-        frame = np.hstack([zf.q, wf.q[:, 1:]])
-        recon = frame @ k.T
+        features = real_vander(nodes, p)
+        recon = real_frame(zf) @ coupling_matrix(zf, wf).T
         assert np.linalg.norm(features - recon) <= 1e-12 * np.linalg.norm(features)
 
     def test_invertible_at_moderate_degree(self):

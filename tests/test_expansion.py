@@ -19,11 +19,11 @@ from mfs2d import (
     expansion_degree,
     expansion_matrix,
     fundamental_solution,
-    harmonic_monomials,
     hurwitz_lerch_phi1,
     log_kernel,
     make_curve,
     max_boundary_radius,
+    real_monomials,
     sample_collocation,
     sample_sources,
     setup_expansion,
@@ -35,15 +35,6 @@ from mfs2d.geometry import PointSet, scaled_coordinate, series_ratio
 
 def single_source(x, y):
     return PointSet(points=np.array([[x, y]]), params=np.array([0.0]))
-
-
-def mp_powers(u, degree):
-    """u^1 .. u^degree of one mpmath complex value, as complex128."""
-    out, um = [], mpmath.mpc(1)
-    for _ in range(degree):
-        um *= u
-        out.append(complex(um))
-    return np.array(out)
 
 
 class TestKernels:
@@ -255,7 +246,7 @@ class TestCappedTruncationOrder:
     @pytest.mark.parametrize("n", [10, 100])
     def test_uncapped_setup_is_bounded_by_the_size_budget(self, n):
         # q = 1 - 1e-8: an uncapped walk from K ~ 9e9 did not return in 25 s; the
-        # N x (2p+1) complex matrix budget caps the order search instead
+        # default charge of 16 bytes per N x (2p+1) entry caps the order search instead
         sources = sample_sources(make_curve("circle", radius=1.0 / (1.0 - 1e-8)), n)
         cap = (expansion.FEATURE_BYTES_MAX // (16 * n) - 1) // 2
         t0 = time.perf_counter()
@@ -299,19 +290,20 @@ class TestExpansionDegree:
 
 class TestExpansionMatrix:
     def test_single_source_row(self):
+        # y = 2, u = 1/2: log|x - 2| = log 2 - Re z / 2 + O(z^2)
         setup = expansion_matrix(single_source(2.0, 0.0), 1.0, 1)
         row = setup.matrix[0]
+        assert setup.matrix.dtype == np.float64
         assert row[0] == pytest.approx(math.log(2), abs=1e-15)
-        assert row[1] == pytest.approx(-0.25, abs=1e-15)
-        assert row[2] == pytest.approx(-0.25, abs=1e-15)
+        assert row[1] == pytest.approx(-0.5, abs=1e-15)
+        assert row[2] == 0.0
 
     def test_in_place_division_is_bitwise_the_quotient(self):
         sources = sample_sources(make_curve("ellipse", a=1.6, b=1.2), 7)
         mat = expansion_matrix(sources, 1.0, 40).matrix
         u = 1.0 / scaled_coordinate(sources.points, 1.0)
-        zblock = expansion._powers(u, 40) / (-2.0 * np.arange(1, 41))
-        assert mat[:, 1:41].tobytes() == zblock.tobytes()
-        assert mat[:, 41:].tobytes() == np.conj(zblock).tobytes()
+        quotient = np.conj(expansion._powers(u, 40)) / -np.arange(1, 41)
+        assert mat[:, 1:].tobytes() == quotient.view(float).tobytes()
 
     def test_origin_hits_constant_column(self):
         sources = sample_sources(make_curve("circle", radius=2.0), 5)
@@ -320,10 +312,15 @@ class TestExpansionMatrix:
         assert np.array_equal(vals, setup.matrix[:, 0])
 
     def test_conjugate_block_symmetry(self):
+        # the kernel is real: each degree's column pair is one complex
+        # coefficient u^m / m, split as -Re on Re z^m and +Im on Im z^m
         sources = sample_sources(make_curve("gamma_blob"), 9)
         setup = expansion_matrix(sources, 1.0, 8)
         p = setup.degree
-        assert np.array_equal(setup.matrix[:, 1 : p + 1], np.conj(setup.matrix[:, p + 1 :]))
+        u = 1.0 / scaled_coordinate(sources.points, 1.0)
+        coef = expansion._powers(u, p) / np.arange(1, p + 1)
+        assert np.array_equal(setup.matrix[:, 1::2], -coef.real)
+        assert np.array_equal(setup.matrix[:, 2::2], coef.imag)
 
     def test_reconstructs_log_kernel(self):
         # oracle: direct log-kernel evaluation at random boundary points
@@ -340,26 +337,34 @@ class TestExpansionMatrix:
         for j in range(sources.count):
             exact = np.array([log_kernel(p, sources.points[j]) for p in pts])
             tol = 1e-12 * np.maximum(1.0, np.abs(exact))
-            assert np.all(np.abs(approx[j].real - exact) <= tol)
-            assert np.all(np.abs(approx[j].imag) <= 1e-12)
+            assert np.all(np.abs(approx[j] - exact) <= tol)
+        assert approx.dtype == np.float64
 
     @pytest.mark.parametrize(
         "curve, params, scale, degree, n",
         [("circle", {"radius": 1.03}, 1.0, 500, 250), ("gamma_blob", {}, 2.4, 400, 300)],
     )
     def test_high_degree_entries_match_mpmath(self, curve, params, scale, degree, n):
-        # oracle: log|y_j| and -u_j^m / (2m), u_j = R / y_j, in 30-digit arithmetic
+        # oracle: log|y_j|, -Re u_j^m / m and Im u_j^m / m, u_j = R / y_j, in
+        # 30-digit arithmetic
         sources = sample_sources(make_curve(curve, **params), n)
         setup = expansion_matrix(sources, scale, degree)
         rows = np.arange(0, n, 10)
-        m = np.arange(1, degree + 1)
+        ref = np.empty((rows.size, 2 * degree + 1))
         with mpmath.workdps(30):
-            ys = [mpmath.mpc(x, y) for x, y in sources.points[rows]]
-            log_y = np.array([float(mpmath.log(abs(y))) for y in ys])
-            zblock = np.array([mp_powers(scale / y, degree) for y in ys]) / (-2.0 * m)
-        assert np.all(np.abs(setup.matrix[rows, 0] - log_y) <= 2e-12 * np.max(np.abs(log_y)))
-        got = setup.matrix[rows, 1 : degree + 1]
-        assert np.all(np.abs(got - zblock) <= 2e-12 * np.max(np.abs(zblock), axis=0))
+            for i, (x, y) in enumerate(sources.points[rows]):
+                y_j = mpmath.mpc(x, y)
+                u = scale / y_j
+                ref[i, 0] = float(mpmath.log(abs(y_j)))
+                um = mpmath.mpc(1)
+                for m in range(1, degree + 1):
+                    um *= u
+                    ref[i, 2 * m - 1], ref[i, 2 * m] = float(-um.real / m), float(um.imag / m)
+        got = setup.matrix[rows]
+        assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 2e-12 * np.max(np.abs(ref[:, 0])))
+        # per degree: Re and Im share the scale |u^m| / m
+        scale_m = np.repeat(np.max(np.hypot(ref[:, 1::2], ref[:, 2::2]), axis=0), 2)
+        assert np.all(np.abs(got[:, 1:] - ref[:, 1:]) <= 2e-12 * scale_m)
 
     def test_truncation_residual_bound(self):
         # deliberately low degree: the residual estimate must still hold
@@ -419,15 +424,19 @@ class TestExpansionMatrix:
 
 class TestHarmonicMonomials:
     def test_shape_and_leading_one(self):
-        f = harmonic_monomials(np.array([0.5]), np.array([1.0]), 2.0, 3)
-        assert f.shape == (1, 7)
+        f = real_monomials(np.array([0.25 + 0.2j]), 3)
+        assert f.shape == (1, 7) and f.dtype == np.float64
         assert f[0, 0] == 1.0
 
     def test_conjugate_halves(self):
-        f = harmonic_monomials(np.array([0.7, 1.1]), np.array([0.3, 2.0]), 1.5, 4)
-        assert np.allclose(f[:, 5:], np.conj(f[:, 1:5]), atol=1e-15)
+        # each power's pair is its real and imaginary part, the float view of z^m
+        z = np.array([0.7 + 0.2j, -0.3 + 1.1j]) / 1.5
+        f = real_monomials(z, 4)
+        powers = expansion._powers(z, 4)
+        assert np.array_equal(f[:, 1::2], powers.real)
+        assert np.array_equal(f[:, 2::2], powers.imag)
 
     def test_powers_multiply(self):
-        f = harmonic_monomials(np.array([0.9]), np.array([0.4]), 1.0, 5)
-        z = f[0, 1]
-        assert np.allclose(f[0, 1:6], z ** np.arange(1, 6), rtol=1e-14)
+        z = 0.9 * np.exp(0.4j)
+        f = real_monomials(np.array([z]), 5)
+        assert np.allclose(f[0, 1::2] + 1j * f[0, 2::2], z ** np.arange(1, 6), rtol=1e-14)

@@ -24,6 +24,7 @@ from mfs2d import (
     make_boundary_data,
     make_curve,
     max_boundary_radius,
+    real_monomials,
     run_single,
     sample_collocation,
     sample_sources,
@@ -52,6 +53,40 @@ def real_frame_map(p):
     t[k, 2 * k - 1] = t[p + k, 2 * k - 1] = r
     t[k, 2 * k], t[p + k, 2 * k] = -1j * r, 1j * r
     return t
+
+
+def real_feature_map(p):
+    """P (2p+1, 2p+1) with [1, Re z, Im z, ...] = [1, z..z^p, w..w^p] @ P.T, w = conj z."""
+    f = np.zeros((2 * p + 1, 2 * p + 1), dtype=complex)
+    f[0, 0] = 1.0
+    m = np.arange(1, p + 1)
+    f[2 * m - 1, m] = f[2 * m - 1, p + m] = 0.5
+    f[2 * m, m], f[2 * m, p + m] = -0.5j, 0.5j
+    return f
+
+
+def stacked_coupling(z_factor, w_factor):
+    """K with [1, z..z^p, w..w^p] = [q_z0..q_zp, q_w1..q_wp] @ K.T (one constant column)."""
+    p = z_factor.degree
+    k = np.zeros((2 * p + 1, 2 * p + 1), dtype=complex)
+    k[: p + 1, : p + 1] = z_factor.r.T
+    k[p + 1 :, 0] = w_factor.r[0, 1:]
+    k[p + 1 :, p + 1 :] = w_factor.r[1:, 1:].T
+    return k
+
+
+def z_only_coupling(r):
+    """The real coupling from R_z alone: z^m = sum_k q_k R_km, read on the real frame."""
+    p = r.shape[0] - 1
+    s2 = math.sqrt(2.0)
+    c = np.zeros((2 * p + 1, 2 * p + 1))
+    c[0, 0] = r[0, 0].real
+    for m in range(1, p + 1):
+        col = r[:, m]
+        c[2 * m - 1, 0], c[2 * m, 0] = col[0].real, col[0].imag
+        c[2 * m - 1, 1::2], c[2 * m - 1, 2::2] = col[1:].real / s2, -col[1:].imag / s2
+        c[2 * m, 1::2], c[2 * m, 2::2] = col[1:].imag / s2, col[1:].real / s2
+    return c
 
 
 def svd_pipeline(domain, source, n, data, m_rule=2):
@@ -296,7 +331,8 @@ class TestSvdBasis:
         assert sum(a.nbytes for a in arrays) <= basis.basis_coords.nbytes + hessenberg_bytes
 
     def test_build_and_assembly_peak_memory(self):
-        # star svd N=500 (M=1000, p=250): traced peak 31.5 MiB; 36.4 MiB while the
+        # star svd N=500 (M=1000, p=250): traced peak 16.8 MiB; 19.2 MiB with the
+        # complex expansion matrix and stacked coupling, and 36.4 MiB while the
         # basis kept the z factor's Q and R, the build kept both factors through
         # the SVD, and the frame's two halves were summed into fresh arrays
         curve = make_curve("star_kite")
@@ -391,20 +427,41 @@ class TestSvdBasis:
         "domain, source_radius, n", [("star_kite", 2.0, 200), ("circle", 1.03, 250)]
     )
     def test_fold_drops_only_roundoff(self, domain, source_radius, n):
-        # the kernels are real, so the reduced matrix on the real frame is real
-        # up to roundoff; a w half that is not the conjugate of the z half shows
-        # up as a large imaginary part here
-        _, colloc, setup, basis = self.cell(domain, source_radius, n)
+        # the stacked coupling K, read from the features [1, z^m, w^m] onto the
+        # real features (P) and from the stacked frame onto the real one (conj T),
+        # is the real coupling; a w factor that is not the conjugate of the z
+        # factor shows up as a large imaginary part here
+        _, colloc, _, basis = self.cell(domain, source_radius, n)
         p = basis.degree
         z = scaled_coordinate(colloc.points, basis.scale_radius)
-        k = coupling_matrix(arnoldi_vandermonde(z, p), arnoldi_vandermonde(np.conj(z), p))
-        reduced = setup.matrix @ k
-        on_real_frame = reduced @ np.conj(real_frame_map(p))
-        scale = np.max(np.abs(reduced))
-        assert np.max(np.abs(on_real_frame.imag)) <= 1e-13 * scale
-        folded = solvers.real_frame_coords(reduced)
-        assert folded.dtype == np.float64
-        assert np.max(np.abs(folded - on_real_frame.real)) <= 1e-14 * scale
+        z_factor, w_factor = arnoldi_vandermonde(z, p), arnoldi_vandermonde(np.conj(z), p)
+        stacked = stacked_coupling(z_factor, w_factor)
+        folded = real_feature_map(p) @ stacked @ np.conj(real_frame_map(p))
+        c = coupling_matrix(z_factor, w_factor)
+        scale = np.max(np.abs(c))
+        assert c.dtype == np.float64
+        assert np.max(np.abs(folded.imag)) <= 1e-13 * scale
+        assert np.max(np.abs(c - folded.real)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "domain, source_radius, n", [("star_kite", 2.0, 200), ("circle", 1.03, 250)]
+    )
+    def test_coupling_needs_only_the_z_factor(self, domain, source_radius, n):
+        # R_w is bitwise conj(R_z), so the coupling formed from R_z + R_w and
+        # R_z - R_w is bitwise the one formed from R_z alone, and the w factor
+        # can go; the real frame times C.T gives the real monomials off the grid
+        curve, colloc, _, basis = self.cell(domain, source_radius, n)
+        p = basis.degree
+        z = scaled_coordinate(colloc.points, basis.scale_radius)
+        z_factor = arnoldi_vandermonde(z, p)
+        c = coupling_matrix(z_factor, arnoldi_vandermonde(np.conj(z), p))
+        assert c.dtype == np.float64
+        assert c.tobytes() == z_only_coupling(z_factor.r).tobytes()
+        pts = curve.point(np.linspace(0.0, 2 * np.pi, 777))
+        pts = np.vstack([pts, 0.5 * pts])
+        monomials = real_monomials(scaled_coordinate(pts, basis.scale_radius), p)
+        # measured 4.8e-15 (near) and 3.3e-15 (star)
+        assert np.max(np.abs(basis.frame_times(pts, c.T) - monomials)) <= 1e-13
 
     def test_complex_coefficients_keep_their_imaginary_part(self):
         # the frame is real, so a complex block is its real and imaginary parts
@@ -455,12 +512,12 @@ class TestQr:
         return sources, b, d
 
     def test_expansion_real_form_is_the_trigonometric_matrix_times_the_scales(self):
-        # log|x - y_j| = log|y_j| + sum_m 2 Re(b_jm z^m), b_jm = -u_j^m / (2m)
+        # log|x - y_j| = log|y_j| + sum_m (-Re u_j^m Re z^m + Im u_j^m Im z^m) / m
         sources, b, d = self.trig_oracle(2.0, 9, 12)
         e = expansion_matrix(sources, 1.0, 12).matrix
-        real = np.column_stack([e[:, 0].real, (2 * np.conj(e[:, 1:13])).view(float)])
+        assert e.dtype == np.float64
         # |B| <= 1, so column j is O(|d_j|); measured 4.6e-15 |d_j|
-        assert np.all(np.abs(real - b * d) <= 1e-14 * np.abs(d))
+        assert np.all(np.abs(e - b * d) <= 1e-14 * np.abs(d))
 
     def test_scale_ratio_first_row(self):
         # the transform is B's R factor Hadamard-scaled by d_j / d_k.  Compared
@@ -479,7 +536,7 @@ class TestQr:
         scale = max_boundary_radius(curve)
         pts = sample_collocation(curve, 10001).points
         p = 250
-        rows = solvers._real_monomials(scaled_coordinate(pts, scale), p)
+        rows = real_monomials(scaled_coordinate(pts, scale), p)
         sub = np.arange(0, 10001, 100)
         ref = np.empty((sub.size, 2 * p + 1))
         ref[:, 0] = 1.0
@@ -778,7 +835,7 @@ class TestBlockedEvaluation:
         scale = max_boundary_radius(make_curve("star_kite"))
         sources = sample_sources(make_curve("circle", radius=2.0), 40)
         basis = build_qr_basis(expansion_matrix(sources, scale, 25))
-        rows = solvers._real_monomials(scaled_coordinate(pts, scale), basis.degree)
+        rows = real_monomials(scaled_coordinate(pts, scale), basis.degree)
         self.assert_contraction(solvers.basis_values(basis, pts), rows, basis.transform.T)
         coef = np.random.default_rng(6).standard_normal((basis.count, 2))
         coords = basis.transform.T @ coef
