@@ -11,8 +11,9 @@ coordinates) and B + eps |B| (g1 + i g2) / sqrt(2) when it is complex, g1
 and g2 standard normal, elementwise: noise of one rounding error's size, of
 B's own type, so a checkout of either kind can be measured.  BLAS runs
 on one thread.  For each N it prints the plain cond2 and linf_error and the
-minimum and maximum over the draws.  A change that moves a row by less than
-its spread cannot be told from a change of the last bit of the reduced matrix.
+minimum and maximum over the draws, each with every digit (Python's repr).
+A change that moves a row by less than its spread cannot be told from a
+change of the last bit of the reduced matrix.
 """
 
 import math
@@ -84,11 +85,10 @@ def main(argv) -> int:
     for n, (cond, linf) in plain.items():
         conds = [d[n][0] for d in draws]
         linfs = [d[n][1] for d in draws]
-        # np.min/np.max give nan when a draw's cell failed
-        print(
-            f"{n},{cond:.4g},{np.min(conds):.4g},{np.max(conds):.4g},"
-            f"{linf:.4g},{np.min(linfs):.4g},{np.max(linfs):.4g}"
-        )
+        # np.min/np.max give nan when a draw's cell failed; repr keeps every
+        # digit, so a row can be placed inside or outside a spread of 1e-5
+        values = (cond, np.min(conds), np.max(conds), linf, np.min(linfs), np.max(linfs))
+        print(",".join([str(n)] + [repr(float(v)) for v in values]))
     return 0
 
 

@@ -12,10 +12,10 @@ with
 The upper-triangular coordinates R of the monomials in the Q basis follow
 from the same recurrence (column k+1 of the Vandermonde matrix is
 diag(nodes) times column k), so R never touches the Vandermonde matrix
-either.  The basis extends to arbitrary new points by replaying the
-Hessenberg recurrence, one cache-sized block of points at a time; each block
-is contracted with a coefficient block at once, so evaluating an expansion
-in the basis never stores the (n_points, n+1) basis matrix.
+either.  The basis extends to new points a block at a time: evaluate_basis
+replays the Hessenberg recurrence and writes the block's real frame [q_0,
+sqrt2 Re q_k, sqrt2 Im q_k], on which coupling_matrix gives the real
+monomials' coordinates; this module alone knows that layout.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateNodesError
 
-# Points per block and recurrence steps per history product in evaluate_basis.
+# Points per block in solvers.basis_values; recurrence steps per history product.
 CHUNK = 1024
 DEGREE_BLOCK = 32
 
@@ -97,60 +97,56 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
     return ArnoldiFactor(q=q, h=h, r=r, degree=n)
 
 
-def evaluate_basis(factor, new_nodes, coef) -> np.ndarray:
-    """Orthonormal polynomial basis at new points times a coefficient block.
+def replay_scratch(degree: int, width: int) -> np.ndarray:
+    """evaluate_basis scratch for `width` points: rows q_0..q_p, then a degree block's history."""
+    return np.empty((degree + 1 + min(DEGREE_BLOCK, degree), width), dtype=complex)
 
-    Returns Q(new_nodes) @ coef for coef of shape (degree + 1,) or
-    (degree + 1, k); the (n_points, degree + 1) basis itself is never stored
-    (pass the identity to get it).  Q is replayed from the Hessenberg
-    recurrence, starting from the constant 1/sqrt(M) used at construction,
-    so the original nodes give back the factor's own Q.  The replay reads
-    only `factor.h`, `factor.degree` and `factor.node_count` (M): an
-    ArnoldiFactor, or a record that keeps just these, as SvdBasis does.
 
-    The points go CHUNK at a time through one (degree + 1, CHUNK) buffer,
-    basis-major, so each q_k is a contiguous row.  In each block of
-    DEGREE_BLOCK steps the history h[:K+1, K:K+b] is applied to the rows
-    already known as one matrix product; only the in-block recurrence runs
-    step by step.  Each point block is contracted with coef once complete.
-    The buffers are allocated once per call, not once per block: a large
-    temporary made fresh per block can be a fresh mmap, page-faulted anew.
-    Values are reproducible for a given point set, but not bitwise
-    independent of the points evaluated beside them: BLAS may sum a column
-    it handles alone in another order (OpenBLAS 0.3.31: up to 5.2e-18).
+def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
+    """Real Arnoldi frame at a block of b new points, written into `frame`.
+
+    Replays the Hessenberg recurrence from the constant 1/sqrt(M) used at
+    construction, so the original nodes give back the factor's own Q.  It
+    reads only `factor.h`, `factor.degree` and `factor.node_count` (M): an
+    ArnoldiFactor, or a record that keeps just these, as SvdBasis does.  The
+    real frame [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Im q_p] is
+    written basis-major into `frame` (2p+1, b), whose transpose, points
+    first, is returned: BLAS contracts it with no copy, and the write is
+    about 3x faster than a row per point (p = 224, 1024 points, one Xeon
+    core).  `scratch` is replay_scratch(p, w), w >= b, so each q_k is a
+    contiguous row; in each block of DEGREE_BLOCK steps the history
+    h[:K+1, K:K+b] is applied to the known rows as one matrix product and
+    only the in-block recurrence runs step by step.  Callers allocate both
+    buffers once for all their blocks: a large temporary made fresh per
+    block can be a fresh mmap, page-faulted anew.
     """
     x = np.asarray(new_nodes, dtype=complex).ravel()
-    coef = np.asarray(coef)
     n = factor.degree
     h = factor.h
     sub = np.diagonal(h, -1)
     zero = np.flatnonzero(sub == 0.0)
     if zero.size:
         raise ValueError(f"zero Hessenberg subdiagonal at step {zero[0]}")
-    if coef.shape[0] != n + 1:
-        raise ValueError(f"coefficient block has {coef.shape[0]} rows, basis has {n + 1}")
-    out = np.empty(x.shape + coef.shape[1:], dtype=np.result_type(coef, complex))
-    width = min(CHUNK, x.shape[0])
-    buf = np.empty((n + 1, width), dtype=complex)
-    hist = np.empty((min(DEGREE_BLOCK, n), width), dtype=complex)
-    for lo in range(0, x.shape[0], CHUNK):
-        xb = x[lo : lo + CHUNK]
-        q = buf[:, : xb.shape[0]]
-        q[0] = 1.0 / np.sqrt(factor.node_count)
-        for kb in range(0, n, DEGREE_BLOCK):
-            b = min(DEGREE_BLOCK, n - kb)
-            known = hist[:b, : xb.shape[0]]
-            np.matmul(h[: kb + 1, kb : kb + b].T, q[: kb + 1], out=known)
-            for k in range(kb, kb + b):
-                acc = known[k - kb]
-                if k > kb:
-                    acc += h[kb + 1 : k + 1, k] @ q[kb + 1 : k + 1]
-                nxt = q[k + 1]
-                np.multiply(xb, q[k], out=nxt)
-                nxt -= acc
-                nxt /= sub[k]
-        np.matmul(q.T, coef, out=out[lo : lo + xb.shape[0]])
-    return out
+    q = scratch[: n + 1, : x.shape[0]]
+    hist = scratch[n + 1 :, : x.shape[0]]
+    start = 1.0 / np.sqrt(factor.node_count)
+    q[0] = start
+    for kb in range(0, n, DEGREE_BLOCK):
+        b = min(DEGREE_BLOCK, n - kb)
+        known = hist[:b]
+        np.matmul(h[: kb + 1, kb : kb + b].T, q[: kb + 1], out=known)
+        for k in range(kb, kb + b):
+            acc = known[k - kb]
+            if k > kb:
+                acc += h[kb + 1 : k + 1, k] @ q[kb + 1 : k + 1]
+            nxt = q[k + 1]
+            np.multiply(x, q[k], out=nxt)
+            nxt -= acc
+            nxt /= sub[k]
+    frame[0] = start
+    np.multiply(q[1:].real, np.sqrt(2.0), out=frame[1::2])
+    np.multiply(q[1:].imag, np.sqrt(2.0), out=frame[2::2])
+    return frame.T
 
 
 def coupling_matrix(z_factor: ArnoldiFactor, w_factor: ArnoldiFactor) -> np.ndarray:

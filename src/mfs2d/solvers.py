@@ -28,10 +28,13 @@ dispatch on the context): kernels and identity for direct, Re z^m, Im z^m and
 z = (x + iy)/R about the origin, R the maximum boundary radius.  All three
 evaluate coefficient-first, rows @ (coords.T @ c), and share one solve body.
 A system matrix is the identity block at the collocation points, so an svd
-basis solves on any point set.  Every backend makes its feature rows a block
-of points at a time and contracts each block at once, so no (points x width)
-feature matrix is stored: arnoldi.CHUNK points for qr and svd, and for direct
-as many as keep a block within _KERNEL_BLOCK entries (1 MiB), at most CHUNK.
+basis solves on any point set.  basis_values holds the one point-block loop:
+a row writer per backend (_kernel_rows, expansion.real_monomials, and
+arnoldi.evaluate_basis, the Hessenberg replay that writes the real frame)
+fills one block of points and the block is contracted at once, so no
+(points x width) feature matrix is stored: arnoldi.CHUNK points for qr and
+svd, and for direct as many as keep a block within _KERNEL_BLOCK entries
+(1 MiB), at most CHUNK.
 """
 
 import math
@@ -132,12 +135,13 @@ class SvdBasis:
     Re q_p, sqrt2 Im q_p] of the z factor, the column order of qr's
     monomials; the rows are orthonormal.  Because the frame itself is
     uniformly well conditioned on the collocation set, the system matrix
-    conditioning is bounded by the frame's, independent of N.  `frame_times`
-    evaluates the frame at any points, system matrices included, through one
-    replay of the z factor's Hessenberg recurrence.  The basis keeps only
-    what that replay reads (`h`, `degree` and `node_count`, the M nodes the
-    factor was built on), so it holds no array with M rows: neither factor's
-    Q or R outlives build_svd_basis.
+    conditioning is bounded by the frame's, independent of N.  basis_values
+    writes the frame at any points, system matrices included, a block at a
+    time, by replaying the z factor's Hessenberg recurrence
+    (arnoldi.evaluate_basis).  The basis keeps only what that replay reads
+    (`h`, `degree` and `node_count`, the M nodes the factor was built on),
+    so it holds no array with M rows: neither factor's Q or R outlives
+    build_svd_basis.
     """
 
     basis_coords: np.ndarray       # (N, 2p+1) real rows of the right singular-vector block
@@ -146,26 +150,6 @@ class SvdBasis:
     scale_radius: float
     count: int
     degree: int
-
-    def frame_times(self, points, coef) -> np.ndarray:
-        """Real frame at (n, 2) points times a (2p+1,) or (2p+1, k) block v.
-
-        The frame is [q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Re q_p,
-        sqrt2 Im q_p] of the z factor, and is never formed.  q_0 is real, so
-        for a real v the product is Re(Q_z @ a) with a_0 = v_0 and a_k =
-        sqrt2 (v_(2k-1) - i v_(2k)): one replay on z over p+1 columns.  A
-        complex v is evaluated as its real and imaginary parts, one replay
-        each, so no part of it is dropped.
-        """
-        coef = np.asarray(coef)
-        if np.iscomplexobj(coef):
-            return self.frame_times(points, coef.real) + 1j * self.frame_times(points, coef.imag)
-        z = scaled_coordinate(points, self.scale_radius)
-        p = self.degree
-        cols = coef.reshape(2 * p + 1, -1)
-        a = np.vstack([cols[:1], math.sqrt(2.0) * (cols[1::2] - 1j * cols[2::2])])
-        y = evaluate_basis(self, z, a)
-        return np.ascontiguousarray(y.real).reshape(z.shape + coef.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -392,18 +376,17 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
     basis is feature rows times its coordinates, and the coordinates are
     applied to coef before the rows are (coefficient-first).
 
-    qr rows are written arnoldi.CHUNK points at a time, direct rows
-    min(CHUNK, _KERNEL_BLOCK // N) at a time (at least one), into one buffer
-    per call and contracted at once (direct rows with coef None go straight
-    into the result), so no (n, width) feature matrix is stored.
-    The kernel values are those of the whole matrix, bitwise; a contraction
-    can differ from the one-shot product by summation order, as when BLAS
-    handles a block of one point alone.
+    This is the package's one point-block loop.  qr and svd rows are written
+    arnoldi.CHUNK points at a time, direct rows min(CHUNK, _KERNEL_BLOCK // N)
+    at a time (at least one), into one buffer per call and contracted at once
+    (direct rows with coef None go straight into the result), so no (n, width)
+    feature matrix is stored.  The svd frame block is written basis-major,
+    and its transpose is contracted.  The kernel values are those of the
+    whole matrix, bitwise; a contraction can differ from the one-shot product
+    by summation order, as when BLAS handles a block of one point alone.
     """
-    if isinstance(context, SvdBasis):
-        block = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
-        return context.frame_times(points, block)
     points = np.asarray(points)
+    n = points.shape[0]
     if isinstance(context, PointSet):
         width = context.count
         step = max(1, min(arnoldi.CHUNK, _KERNEL_BLOCK // max(width, 1)))
@@ -417,14 +400,25 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
             real_monomials(z[lo : lo + rows.shape[0]], context.degree, out=rows)
 
         coords = context.transform.T if coef is None else context.transform.T @ coef
+    elif isinstance(context, SvdBasis):
+        z = scaled_coordinate(points, context.scale_radius)
+        width, step = 2 * context.degree + 1, arnoldi.CHUNK
+        scratch = arnoldi.replay_scratch(context.degree, min(step, n))
+
+        def fill(lo, rows):
+            evaluate_basis(context, z[lo : lo + rows.shape[0]], scratch, rows.T)
+
+        coords = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
     else:
         raise ValueError("context must be a PointSet, SvdBasis, or QrBasis")
-    n = points.shape[0]
     if coords is None:
         out = np.empty((n, width))
     else:
         out = np.empty((n,) + coords.shape[1:], dtype=np.result_type(coords, float))
-        buf = np.empty((min(step, n), width))
+        if isinstance(context, SvdBasis):
+            buf = np.empty((width, min(step, n))).T
+        else:
+            buf = np.empty((min(step, n), width))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         if coords is None:
@@ -438,7 +432,8 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
 _CONTEXT_TYPES = {"direct": PointSet, "qr": QrBasis, "svd": SvdBasis}
 
 
-def _evaluate_complex(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
+def _evaluate(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
+    """The record's solution at points: real for real coefficients, complex for complex ones."""
     kind = _CONTEXT_TYPES.get(record.method)
     if kind is None or not isinstance(context, kind):
         raise ValueError(f"{record.method!r} evaluation cannot use a {type(context).__name__}")
@@ -454,7 +449,7 @@ def evaluate_solution(record: SolveRecord, context, points):
     """
     ctx = record.context if context is None else context
     pts = np.asarray(points, dtype=float)
-    vals = _evaluate_complex(record, ctx, np.atleast_2d(pts)).real
+    vals = _evaluate(record, ctx, np.atleast_2d(pts)).real
     return float(vals[0]) if pts.ndim == 1 else vals
 
 
@@ -463,13 +458,14 @@ def boundary_error(
 ) -> float:
     """Max |u - g| over `count` uniform-parameter boundary points.
 
-    Also records the largest imaginary residue of the complex evaluation on
-    the record.  Uses the record's stored evaluation context.
+    Also records the largest imaginary part of the evaluation on the record:
+    0.0 for real boundary data, whose coefficients are real because all
+    three systems are.  Uses the record's stored evaluation context.
     """
     if record.context is None:
         raise ValueError("record has no stored evaluation context")
     pts = sample_collocation(curve, count).points
-    vals = _evaluate_complex(record, record.context, pts)
+    vals = _evaluate(record, record.context, pts)
     err = float(np.max(np.abs(vals.real - data.values(pts))))
     record.linf_boundary_error = err
     record.max_imag_on_boundary = float(np.max(np.abs(vals.imag)))

@@ -4,13 +4,14 @@ import pytest
 from mfs2d import arnoldi
 from mfs2d import (
     DegenerateNodesError,
+    SvdBasis,
     arnoldi_vandermonde,
     coupling_matrix,
-    evaluate_basis,
     make_curve,
     max_boundary_radius,
     sample_collocation,
 )
+from mfs2d.solvers import basis_values
 
 
 def vander(nodes, degree):
@@ -108,23 +109,60 @@ class TestArnoldiVandermonde:
             arnoldi_vandermonde(np.zeros(5, dtype=complex), 1)
 
 
-def frame(fac, nodes):
-    """The replayed basis itself: evaluate_basis with the identity block."""
-    return evaluate_basis(fac, nodes, np.eye(fac.degree + 1))
+def frame_basis(fac, coords=None):
+    """An SvdBasis on the factor's Hessenberg matrix with the given coordinates (default: identity)."""
+    p = fac.degree
+    coords = np.eye(2 * p + 1) if coords is None else coords
+    return SvdBasis(
+        basis_coords=coords,
+        h=fac.h,
+        node_count=fac.node_count,
+        scale_radius=1.0,
+        count=coords.shape[0],
+        degree=p,
+    )
+
+
+def frame(fac, nodes, coef=None, coords=None):
+    """The replayed real frame at complex nodes (times coords.T @ coef), through basis_values."""
+    points = np.column_stack([nodes.real, nodes.imag])
+    return basis_values(frame_basis(fac, coords), points, coef)
+
+
+def real_frame(q):
+    """[q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Re q_p, sqrt2 Im q_p] of a complex Q."""
+    out = np.empty((q.shape[0], 2 * q.shape[1] - 1))
+    out[:, 0] = q[:, 0].real
+    out[:, 1::2] = np.sqrt(2.0) * q[:, 1:].real
+    out[:, 2::2] = np.sqrt(2.0) * q[:, 1:].imag
+    return out
+
+
+def pointwise_frame(fac, nodes):
+    """Each node's own recurrence, one step at a time, vectorized over the nodes."""
+    q = np.empty((nodes.shape[0], fac.degree + 1), dtype=complex)
+    q[:, 0] = 1.0 / np.sqrt(fac.node_count)
+    for k in range(fac.degree):
+        step = nodes * q[:, k] - q[:, : k + 1] @ fac.h[: k + 1, k]
+        q[:, k + 1] = step / fac.h[k + 1, k]
+    return real_frame(q)
 
 
 class TestEvaluateBasis:
+    """The replay, through basis_values on an SvdBasis whose coordinates are the identity."""
+
     def test_reproduces_q_at_original_nodes(self):
         nodes = star_nodes()
         fac = arnoldi_vandermonde(nodes, 20)
         out = frame(fac, nodes)
-        assert np.max(np.abs(out - fac.q)) <= 1e-12
+        assert out.dtype == np.float64
+        assert np.max(np.abs(out - real_frame(fac.q))) <= 1e-12
 
     def test_single_node_matches_row(self):
         nodes = star_nodes()
         fac = arnoldi_vandermonde(nodes, 15)
         out = frame(fac, nodes[:1])
-        assert np.allclose(out[0], fac.q[0], atol=1e-12)
+        assert np.allclose(out[0], real_frame(fac.q)[0], atol=1e-12)
 
     @pytest.mark.parametrize(
         "count, degree",
@@ -147,14 +185,8 @@ class TestEvaluateBasis:
             xy = domain.point(rng.uniform(0, 2 * np.pi, count)) / max_boundary_radius(domain)
             new = rng.uniform(0.2, 1.0, count) * (xy[:, 0] + 1j * xy[:, 1])
         out = frame(fac, new)
-        assert out.shape == (count, degree + 1)
-        # each point's own recurrence, one step at a time, vectorized over the points
-        expected = np.empty_like(out)
-        expected[:, 0] = 1.0 / np.sqrt(fac.q.shape[0])
-        for k in range(degree):
-            step = new * expected[:, k] - expected[:, : k + 1] @ fac.h[: k + 1, k]
-            expected[:, k + 1] = step / fac.h[k + 1, k]
-        assert np.allclose(out, expected, rtol=0.0, atol=1e-13)
+        assert out.shape == (count, 2 * degree + 1)
+        assert np.allclose(out, pointwise_frame(fac, new), rtol=0.0, atol=1e-13)
 
     def test_block_size_does_not_change_the_result(self, monkeypatch):
         # three point blocks (the last one 7 wide) against one, three degree blocks each
@@ -169,19 +201,20 @@ class TestEvaluateBasis:
         fac = arnoldi_vandermonde(star_nodes(), 2 * arnoldi.DEGREE_BLOCK + 5)
         rng = np.random.default_rng(3)
         new = 0.5 * np.exp(2j * np.pi * rng.uniform(size=2 * arnoldi.CHUNK + 7))
-        coef = rng.normal(size=(fac.degree + 1, 3)) + 1j * rng.normal(size=(fac.degree + 1, 3))
-        full = frame(fac, new)
-        block = evaluate_basis(fac, new, coef)
-        vector = evaluate_basis(fac, new, coef[:, 1])
-        scale = np.max(np.abs(full @ coef))
+        coords = rng.normal(size=(40, 2 * fac.degree + 1))
+        coef = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+        full = frame(fac, new) @ coords.T @ coef
+        block = frame(fac, new, coef, coords)
+        vector = frame(fac, new, coef[:, 1], coords)
+        scale = np.max(np.abs(full))
         assert block.shape == (new.shape[0], 3) and vector.shape == new.shape
-        assert np.max(np.abs(block - full @ coef)) <= 1e-13 * scale
-        assert np.max(np.abs(vector - full @ coef[:, 1])) <= 1e-13 * scale
+        assert np.max(np.abs(block - full)) <= 1e-13 * scale
+        assert np.max(np.abs(vector - full[:, 1])) <= 1e-13 * scale
 
     def test_coefficient_rows_must_match_the_degree(self):
         fac = arnoldi_vandermonde(star_nodes(), 6)
         with pytest.raises(ValueError):
-            evaluate_basis(fac, star_nodes(8), np.ones(6))
+            frame(fac, star_nodes(8), np.ones(6))
 
     def test_zero_subdiagonal_rejected(self):
         import dataclasses
@@ -192,26 +225,18 @@ class TestEvaluateBasis:
             frame(broken, star_nodes(8))
 
     def test_polynomial_identity(self):
-        # oracle: direct monomial evaluation of the polynomial with random coefficients
+        # oracle: direct monomial evaluation of the real polynomial with random
+        # coefficients; the replayed frame times the coupling's C.T is the real monomials
         rng = np.random.default_rng(11)
         nodes = star_nodes()
         deg = 18
         fac = arnoldi_vandermonde(nodes, deg)
-        coeff = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        c = coupling_matrix(fac, arnoldi_vandermonde(np.conj(nodes), deg))
+        coeff = rng.normal(size=2 * deg + 1)
         new = 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi, 60))
-        direct = vander(new, deg) @ coeff
-        via_basis = evaluate_basis(fac, new, fac.r @ coeff)
+        direct = real_vander(new, deg) @ coeff
+        via_basis = frame(fac, new, coeff, coords=c)
         assert np.max(np.abs(direct - via_basis)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
-
-
-def real_frame(fac):
-    """[q_0, sqrt2 Re q_1, sqrt2 Im q_1, ..., sqrt2 Re q_p, sqrt2 Im q_p] of a factor."""
-    q = fac.q
-    out = np.empty((q.shape[0], 2 * fac.degree + 1))
-    out[:, 0] = q[:, 0].real
-    out[:, 1::2] = np.sqrt(2.0) * q[:, 1:].real
-    out[:, 2::2] = np.sqrt(2.0) * q[:, 1:].imag
-    return out
 
 
 def real_vander(nodes, degree):
@@ -244,7 +269,7 @@ class TestCouplingMatrix:
         zf = arnoldi_vandermonde(nodes, p)
         wf = arnoldi_vandermonde(np.conj(nodes), p)
         features = real_vander(nodes, p)
-        recon = real_frame(zf) @ coupling_matrix(zf, wf).T
+        recon = real_frame(zf.q) @ coupling_matrix(zf, wf).T
         assert np.linalg.norm(features - recon) <= 1e-12 * np.linalg.norm(features)
 
     def test_invertible_at_moderate_degree(self):

@@ -34,7 +34,7 @@ from mfs2d import (
     solve_svd,
 )
 from mfs2d import arnoldi, solvers
-from mfs2d.arnoldi import arnoldi_vandermonde, coupling_matrix, evaluate_basis
+from mfs2d.arnoldi import arnoldi_vandermonde, coupling_matrix
 from mfs2d.bench import build_method_context, emit_basis_samples
 from mfs2d.geometry import PointSet, scaled_coordinate
 
@@ -73,6 +73,22 @@ def stacked_coupling(z_factor, w_factor):
     k[p + 1 :, 0] = w_factor.r[0, 1:]
     k[p + 1 :, p + 1 :] = w_factor.r[1:, 1:].T
     return k
+
+
+def frame_basis(basis):
+    """The svd basis with identity coordinates: its basis_values are the real frame itself."""
+    width = 2 * basis.degree + 1
+    return dataclasses.replace(basis, basis_coords=np.eye(width), count=width)
+
+
+def pointwise_q(factor, nodes):
+    """Q of a factor replayed at new nodes, one recurrence step at a time (no blocking)."""
+    q = np.empty((nodes.shape[0], factor.degree + 1), dtype=complex)
+    q[:, 0] = 1.0 / np.sqrt(factor.node_count)
+    for k in range(factor.degree):
+        step = nodes * q[:, k] - q[:, : k + 1] @ factor.h[: k + 1, k]
+        q[:, k + 1] = step / factor.h[k + 1, k]
+    return q
 
 
 def z_only_coupling(r):
@@ -276,7 +292,7 @@ class TestSvdBasis:
 
         def phi1(x, y):
             pts = np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
-            return basis.frame_times(pts, basis.basis_coords[0]).real
+            return solvers.basis_values(basis, pts)[:, 0]
 
         g = BoundaryData("phi1", lambda x, y: phi1(x, y))
         record = solve_svd(basis, a, g.values(colloc.points))
@@ -331,7 +347,8 @@ class TestSvdBasis:
         assert sum(a.nbytes for a in arrays) <= basis.basis_coords.nbytes + hessenberg_bytes
 
     def test_build_and_assembly_peak_memory(self):
-        # star svd N=500 (M=1000, p=250): traced peak 16.8 MiB; 19.2 MiB with the
+        # star svd N=500 (M=1000, p=250): traced peak 15.3 MiB; 16.8 MiB while the
+        # assembly kept a complex M x N replay output, 19.2 MiB with the
         # complex expansion matrix and stacked coupling, and 36.4 MiB while the
         # basis kept the z factor's Q and R, the build kept both factors through
         # the SVD, and the frame's two halves were summed into fresh arrays
@@ -350,7 +367,9 @@ class TestSvdBasis:
 
     def test_real_assembly_peak_memory(self):
         # star svd N=500 (M=1000, p=250): the real system is 3.8 MiB; traced
-        # assembly peak 13.9 MiB, 26.7 MiB while the frame was complex and stacked
+        # assembly peak 12.0 MiB (system, real frame block and replay scratch),
+        # 13.9 MiB while the replay wrote a complex M x N output and its real
+        # part was copied out, 26.7 MiB while the frame was complex and stacked
         curve = make_curve("star_kite")
         n, m = 500, 1000
         colloc = sample_collocation(curve, m)
@@ -409,12 +428,11 @@ class TestSvdBasis:
         z = nodes(pts)
         rng = np.random.default_rng(n)
         coef = rng.normal(size=(2 * p + 1, 3)) + 1j * rng.normal(size=(2 * p + 1, 3))
-        # the real frame is the stacked frame [q_z0..q_zp, q_w1..q_wp] times T
-        stacked = real_frame_map(p) @ coef
-        w_block = np.vstack([np.zeros((1, 3)), stacked[p + 1 :]])
-        both = evaluate_basis(z_factor, z, stacked[: p + 1])
-        both += evaluate_basis(w_factor, np.conj(z), w_block)
-        one = basis.frame_times(pts, coef)
+        # the real frame is the stacked frame [q_z0..q_zp, q_w1..q_wp] times T,
+        # each factor replayed at its own nodes, point by point
+        stacked = np.hstack([pointwise_q(z_factor, z), pointwise_q(w_factor, np.conj(z))[:, 1:]])
+        both = stacked @ (real_frame_map(p) @ coef)
+        one = solvers.basis_values(frame_basis(basis), pts, coef)
         assert one.shape == both.shape
         assert np.max(np.abs(one - both)) <= 1e-13 * np.max(np.abs(both))
 
@@ -461,18 +479,20 @@ class TestSvdBasis:
         pts = np.vstack([pts, 0.5 * pts])
         monomials = real_monomials(scaled_coordinate(pts, basis.scale_radius), p)
         # measured 4.8e-15 (near) and 3.3e-15 (star)
-        assert np.max(np.abs(basis.frame_times(pts, c.T) - monomials)) <= 1e-13
+        frame_c = solvers.basis_values(frame_basis(basis), pts, c.T)
+        assert np.max(np.abs(frame_c - monomials)) <= 1e-13
 
     def test_complex_coefficients_keep_their_imaginary_part(self):
-        # the frame is real, so a complex block is its real and imaginary parts
-        # evaluated apart; taking the real part of the block would drop one
+        # the frame is real, so a complex block's real and imaginary parts are
+        # the real block's values; taking the real part of the block would drop one
         data = make_boundary_data("x2y3")
         basis, _, _, colloc = svd_pipeline(make_curve("star_kite"), make_curve("circle", radius=2.0), 20, data)
         rng = np.random.default_rng(3)
-        re, im = rng.normal(size=(2, 2 * basis.degree + 1, 2))
-        real_part = basis.frame_times(colloc.points, re)
-        imag_part = basis.frame_times(colloc.points, im)
-        got = basis.frame_times(colloc.points, re + 1j * im)
+        re, im = rng.normal(size=(2, basis.count, 2))
+        real_part = solvers.basis_values(basis, colloc.points, re)
+        imag_part = solvers.basis_values(basis, colloc.points, im)
+        got = solvers.basis_values(basis, colloc.points, re + 1j * im)
+        assert got.dtype == np.complex128
         assert np.array_equal(got.real, real_part)
         assert np.array_equal(got.imag, imag_part)
         assert np.max(np.abs(got.imag)) > 0.1
@@ -768,7 +788,7 @@ class TestCoefficientFirstEvaluation:
             expected = assemble_direct(record.context, point_set(pts)) @ c
         else:
             basis = record.context
-            expected = basis.frame_times(pts, basis.basis_coords.T @ c).real
+            expected = solvers.basis_values(frame_basis(basis), pts, basis.basis_coords.T @ c)
         assert np.array_equal(evaluate_solution(record, None, pts), expected)
 
     def test_svd_evaluation_at_the_collocation_points_is_the_system_product(self):
@@ -800,7 +820,7 @@ class TestCoefficientFirstEvaluation:
 
 
 class TestBlockedEvaluation:
-    """qr rows are made arnoldi.CHUNK points at a time, direct rows in 1 MiB blocks, never all at once."""
+    """qr and svd rows are made arnoldi.CHUNK points at a time, direct rows in 1 MiB blocks, never all at once."""
 
     # the last of three blocks holds one point
     count = 2 * arnoldi.CHUNK + 1
@@ -840,6 +860,32 @@ class TestBlockedEvaluation:
         coef = np.random.default_rng(6).standard_normal((basis.count, 2))
         coords = basis.transform.T @ coef
         self.assert_contraction(solvers.basis_values(basis, pts, coef), rows, coords)
+
+    def test_svd_replays_one_block_at_a_time(self, monkeypatch):
+        pts = self.boundary()
+        curve = make_curve("star_kite")
+        sources = sample_sources(make_curve("circle", radius=2.0), 40)
+        colloc = sample_collocation(curve, 80)
+        basis = build_svd_basis(setup_expansion(sources, max_boundary_radius(curve), 40, max_degree=39), colloc)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(arnoldi, "CHUNK", self.count)
+            rows = solvers.basis_values(frame_basis(basis), pts)
+        calls = []
+        replay = solvers.evaluate_basis
+
+        def counted(*args):
+            result = replay(*args)
+            calls.append((len(args[1]), result.dtype, result.shape))
+            return result
+
+        monkeypatch.setattr(solvers, "evaluate_basis", counted)
+        self.assert_contraction(solvers.basis_values(basis, pts), rows, basis.basis_coords.T)
+        coef = np.random.default_rng(7).standard_normal((basis.count, 2))
+        coords = basis.basis_coords.T @ coef
+        self.assert_contraction(solvers.basis_values(basis, pts, coef), rows, coords)
+        # two evaluations, three blocks each; the last block of each holds one point
+        assert [b for b, _, _ in calls] == 2 * [arnoldi.CHUNK, arnoldi.CHUNK, 1]
+        assert all(d == np.float64 and shape == (b, rows.shape[1]) for b, d, shape in calls)
 
     def test_coincidence_names_the_global_point_index(self):
         pts = self.boundary()
