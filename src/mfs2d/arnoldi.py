@@ -3,9 +3,10 @@
 Orthonormalizes the monomial sequence 1, x, x^2, ... on a fixed node set
 without ever forming the (exponentially ill-conditioned) Vandermonde matrix.
 Starting from q0 = ones/sqrt(M), each step multiplies by diag(nodes) and
-orthogonalizes against all previous columns at once (block classical
-Gram-Schmidt, run twice), producing orthonormal columns Q and a Hessenberg H
-with
+orthogonalizes against all previous columns at once: one block classical
+Gram-Schmidt pass, and a second only when the first cancels (the DGKS test
+of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976), producing
+orthonormal columns Q and a Hessenberg H with
 
     diag(nodes) @ Q[:, :-1] = Q @ H.
 
@@ -72,34 +73,39 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
         raise ValueError("nodes must be finite")
     scale = float(np.max(np.abs(x))) if m else 0.0
 
-    q = np.empty((m, n + 1), dtype=complex)
+    qt = np.empty((n + 1, m), dtype=complex)    # Q's columns as rows: each q_k contiguous
     h = np.zeros((n + 1, n), dtype=complex)
-    q[:, 0] = 1.0 / np.sqrt(m)
+    v = np.empty(m, dtype=complex)
+    qt[0] = 1.0 / np.sqrt(m)
     for k in range(n):
-        v = x * q[:, k]
-        qk = q[:, : k + 1]
-        coeffs = np.zeros(k + 1, dtype=complex)
-        for _ in range(2):    # classical Gram-Schmidt, run twice (CGS2)
-            c = np.conj(np.conj(v) @ qk)    # qk^H v without copying qk^H
-            v -= qk @ c
-            coeffs += c
+        qk = qt[: k + 1]
+        np.multiply(x, qt[k], out=v)
+        before = float(np.linalg.norm(v))
+        # classical Gram-Schmidt; qk^H v as conj(qk @ conj(v)), so qk is never copied
+        coeffs = np.conj(qk @ np.conj(v))
+        v -= coeffs @ qk
         norm = float(np.linalg.norm(v))
+        if norm < before / np.sqrt(2.0):    # cancellation (DGKS): orthogonalize again
+            c = np.conj(qk @ np.conj(v))
+            v -= c @ qk
+            coeffs += c
+            norm = float(np.linalg.norm(v))
         if norm == 0.0 or norm < 1e-14 * scale:
             raise DegenerateNodesError(k)
         h[: k + 1, k] = coeffs
         h[k + 1, k] = norm
-        q[:, k + 1] = v / norm
+        np.divide(v, norm, out=qt[k + 1])
 
     r = np.zeros((n + 1, n + 1), dtype=complex)
     r[0, 0] = np.sqrt(m)
     for k in range(n):
         r[: k + 2, k + 1] = h[: k + 2, : k + 1] @ r[: k + 1, k]
-    return ArnoldiFactor(q=q, h=h, r=r, degree=n)
+    return ArnoldiFactor(q=qt.T, h=h, r=r, degree=n)
 
 
 def replay_scratch(degree: int, width: int) -> np.ndarray:
-    """evaluate_basis scratch for `width` points: rows q_0..q_p, then a degree block's history."""
-    return np.empty((degree + 1 + min(DEGREE_BLOCK, degree), width), dtype=complex)
+    """evaluate_basis scratch for `width` points: q_0..q_p, a degree block's history, a product."""
+    return np.empty((degree + 2 + min(DEGREE_BLOCK, degree), width), dtype=complex)
 
 
 def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
@@ -116,9 +122,12 @@ def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
     core).  `scratch` is replay_scratch(p, w), w >= b, so each q_k is a
     contiguous row; in each block of DEGREE_BLOCK steps the history
     h[:K+1, K:K+b] is applied to the known rows as one matrix product and
-    only the in-block recurrence runs step by step.  Callers allocate both
-    buffers once for all their blocks: a large temporary made fresh per
-    block can be a fresh mmap, page-faulted anew.
+    only the in-block recurrence runs step by step, its products written
+    into the last row.  The subdiagonal must be real, as the factor makes
+    it: numpy divides by s + 0i as a multiply by 1/s, so multiplying the
+    float view by 1/s gives the same bits.  Callers allocate both buffers
+    once for all their blocks: a large temporary made fresh per block can
+    be a fresh mmap, page-faulted anew.
     """
     x = np.asarray(new_nodes, dtype=complex).ravel()
     n = factor.degree
@@ -127,8 +136,13 @@ def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
     zero = np.flatnonzero(sub == 0.0)
     if zero.size:
         raise ValueError(f"zero Hessenberg subdiagonal at step {zero[0]}")
-    q = scratch[: n + 1, : x.shape[0]]
-    hist = scratch[n + 1 :, : x.shape[0]]
+    if np.any(sub.imag):
+        raise ValueError("Hessenberg subdiagonal must be real")
+    inv = 1.0 / sub.real
+    width = x.shape[0]
+    q = scratch[: n + 1, :width]
+    hist = scratch[n + 1 : -1, :width]
+    prod = scratch[-1, :width]
     start = 1.0 / np.sqrt(factor.node_count)
     q[0] = start
     for kb in range(0, n, DEGREE_BLOCK):
@@ -138,14 +152,15 @@ def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
         for k in range(kb, kb + b):
             acc = known[k - kb]
             if k > kb:
-                acc += h[kb + 1 : k + 1, k] @ q[kb + 1 : k + 1]
+                acc += np.matmul(h[kb + 1 : k + 1, k], q[kb + 1 : k + 1], out=prod)
             nxt = q[k + 1]
             np.multiply(x, q[k], out=nxt)
             nxt -= acc
-            nxt /= sub[k]
+            np.multiply(nxt.view(float), inv[k], out=nxt.view(float))
     frame[0] = start
-    np.multiply(q[1:].real, np.sqrt(2.0), out=frame[1::2])
-    np.multiply(q[1:].imag, np.sqrt(2.0), out=frame[2::2])
+    # one pass over the float view: (Re q_k, Im q_k) pairs to rows 2k-1, 2k
+    pairs = q[1:].view(float).reshape(n, width, 2).transpose(0, 2, 1)
+    np.multiply(pairs, np.sqrt(2.0), out=frame[1:].reshape(n, 2, width))
     return frame.T
 
 

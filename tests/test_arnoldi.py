@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,15 @@ from mfs2d import (
     DegenerateNodesError,
     SvdBasis,
     arnoldi_vandermonde,
+    build_svd_basis,
     coupling_matrix,
     make_curve,
     max_boundary_radius,
     sample_collocation,
+    sample_sources,
+    setup_expansion,
 )
+from mfs2d.geometry import scaled_coordinate
 from mfs2d.solvers import basis_values
 
 
@@ -107,6 +113,83 @@ class TestArnoldiVandermonde:
     def test_all_zero_nodes_break_down(self):
         with pytest.raises(DegenerateNodesError):
             arnoldi_vandermonde(np.zeros(5, dtype=complex), 1)
+
+    def test_no_per_step_copy_of_q(self):
+        # M=1000, p=250: Q, H and R are 6.03 MB; the work vectors are a few
+        # length-M arrays, while one copy of the block q_0..q_k per step (as
+        # qk.conj() makes) would add up to 4 MB more
+        m, p = 1000, 250
+        t = 2 * np.pi * np.arange(m) / m
+        nodes = 0.9 * (1 + 0.2 * np.cos(3 * t)) * np.exp(1j * t)
+        tracemalloc.start()
+        try:
+            fac = arnoldi_vandermonde(nodes, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= fac.q.nbytes + fac.h.nbytes + fac.r.nbytes + 8 * 16 * m
+
+
+class Passes:
+    """Stands in for numpy in arnoldi: counts np.conj calls, two per Gram-Schmidt pass."""
+
+    def __init__(self):
+        self.conj_calls = 0
+
+    def conj(self, a):
+        self.conj_calls += 1
+        return np.conj(a)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def cgs2_hessenberg(nodes, degree):
+    """H of the Arnoldi process with classical Gram-Schmidt always run twice."""
+    m = nodes.shape[0]
+    q = np.empty((m, degree + 1), dtype=complex)
+    h = np.zeros((degree + 1, degree), dtype=complex)
+    q[:, 0] = 1.0 / np.sqrt(m)
+    for k in range(degree):
+        v = nodes * q[:, k]
+        for _ in range(2):
+            c = q[:, : k + 1].conj().T @ v
+            v = v - q[:, : k + 1] @ c
+            h[: k + 1, k] += c
+        h[k + 1, k] = np.linalg.norm(v)
+        q[:, k + 1] = v / h[k + 1, k]
+    return h
+
+
+class TestSecondPass:
+    """The second Gram-Schmidt pass runs only when the first cancels (DGKS, 1/sqrt2)."""
+
+    @pytest.mark.parametrize(
+        "nodes, second_passes",
+        [
+            pytest.param(np.exp(1j * np.linspace(-0.3, 0.3, 200)), 30, id="arc"),
+            pytest.param(np.linspace(-1.0, 1.0, 200) + 0j, 29, id="interval"),
+            pytest.param(np.exp(2j * np.pi * np.arange(200) / 200), 0, id="circle"),
+        ],
+    )
+    def test_second_pass_only_on_cancellation(self, monkeypatch, nodes, second_passes):
+        counter = Passes()
+        monkeypatch.setattr(arnoldi, "np", counter)
+        fac = arnoldi_vandermonde(nodes, 30)
+        monkeypatch.undo()
+        assert counter.conj_calls // 2 - 30 == second_passes
+        # the criterion itself, read off the factor: ||(I - Q Q^H) x q_k|| < ||x q_k|| / sqrt2
+        v = nodes[:, None] * fac.q[:, :-1]
+        left = np.array(
+            [np.linalg.norm(v[:, k] - fac.q[:, : k + 1] @ (fac.q[:, : k + 1].conj().T @ v[:, k]))
+             for k in range(30)]
+        )
+        assert np.sum(left < np.linalg.norm(v, axis=0) / np.sqrt(2.0)) == second_passes
+        gram = fac.q.conj().T @ fac.q
+        assert np.max(np.abs(gram - np.eye(31))) <= 1e-14
+        resid = np.linalg.norm(v - fac.q @ fac.h)
+        assert resid <= 1e-12 * np.max(np.abs(nodes)) * np.linalg.norm(fac.q)
+        assert np.max(np.abs(fac.h - cgs2_hessenberg(nodes, 30))) <= 1e-12
 
 
 def frame_basis(fac, coords=None):
@@ -224,6 +307,16 @@ class TestEvaluateBasis:
         with pytest.raises(ValueError):
             frame(broken, star_nodes(8))
 
+    def test_complex_subdiagonal_rejected(self):
+        # the replay multiplies by 1/Re s, which is division by s only for real s
+        import dataclasses
+
+        fac = arnoldi_vandermonde(star_nodes(32), 3)
+        h = fac.h.copy()
+        h[2, 1] *= 1j
+        with pytest.raises(ValueError, match="real"):
+            frame(dataclasses.replace(fac, h=h), star_nodes(8))
+
     def test_polynomial_identity(self):
         # oracle: direct monomial evaluation of the real polynomial with random
         # coefficients; the replayed frame times the coupling's C.T is the real monomials
@@ -237,6 +330,58 @@ class TestEvaluateBasis:
         direct = real_vander(new, deg) @ coeff
         via_basis = frame(fac, new, coeff, coords=c)
         assert np.max(np.abs(direct - via_basis)) <= 1e-10 * max(1.0, np.max(np.abs(direct)))
+
+
+def complex_division_replay(factor, new_nodes, scratch, frame):
+    """The replay with complex division by the subdiagonal and a two-pass frame write."""
+    x = np.asarray(new_nodes, dtype=complex).ravel()
+    n, h = factor.degree, factor.h
+    sub = np.diagonal(h, -1)
+    q = scratch[: n + 1, : x.shape[0]]
+    hist = scratch[n + 1 :, : x.shape[0]]
+    q[0] = 1.0 / np.sqrt(factor.node_count)
+    for kb in range(0, n, arnoldi.DEGREE_BLOCK):
+        b = min(arnoldi.DEGREE_BLOCK, n - kb)
+        np.matmul(h[: kb + 1, kb : kb + b].T, q[: kb + 1], out=hist[:b])
+        for k in range(kb, kb + b):
+            acc = hist[k - kb]
+            if k > kb:
+                acc += h[kb + 1 : k + 1, k] @ q[kb + 1 : k + 1]
+            nxt = q[k + 1]
+            np.multiply(x, q[k], out=nxt)
+            nxt -= acc
+            nxt /= sub[k]
+    frame[0] = 1.0 / np.sqrt(factor.node_count)
+    np.multiply(q[1:].real, np.sqrt(2.0), out=frame[1::2])
+    np.multiply(q[1:].imag, np.sqrt(2.0), out=frame[2::2])
+    return frame.T
+
+
+@pytest.mark.parametrize(
+    "domain, source_radius, n",
+    [
+        pytest.param("star_kite", 2.0, 350, id="star-svd-350"),
+        pytest.param("circle", 1.03, 250, id="near-svd-250"),
+    ],
+)
+def test_replay_is_bitwise_the_complex_division_replay(domain, source_radius, n):
+    # the perfbench svd bases (M = 2N) at the 10001 boundary points of
+    # boundary_error, a CHUNK-point block at a time as basis_values runs it
+    curve = make_curve(domain)
+    colloc = sample_collocation(curve, 2 * n)
+    sources = sample_sources(make_curve("circle", radius=source_radius), n)
+    setup = setup_expansion(sources, max_boundary_radius(curve), n, max_degree=(2 * n - 1) // 2)
+    basis = build_svd_basis(setup, colloc)
+    z = scaled_coordinate(sample_collocation(curve, 10001).points, basis.scale_radius)
+    p = basis.degree
+    scratch = arnoldi.replay_scratch(p, arnoldi.CHUNK)
+    got, want = np.empty((2, 2 * p + 1, arnoldi.CHUNK))
+    for lo in range(0, z.shape[0], arnoldi.CHUNK):
+        block = z[lo : lo + arnoldi.CHUNK]
+        width = block.shape[0]
+        arnoldi.evaluate_basis(basis, block, scratch, got[:, :width])
+        complex_division_replay(basis, block, scratch, want[:, :width])
+        assert got[:, :width].tobytes() == want[:, :width].tobytes()
 
 
 def real_vander(nodes, degree):
