@@ -11,11 +11,10 @@ forced in `[run]`, and writes the table and the command's stderr to
 `configs` or `perfbench/configs`.  On the same config it runs `mfs2d solve`
 and writes its stdout and stderr to `OUTDIR/<dir>/<name>.solve.csv` and
 `OUTDIR/<dir>/<name>.solve.stderr`.  It then writes each `mfs2d basis` dump
-listed in BASIS_DUMPS to `OUTDIR/basis/<config>_<method>_n<N>_s<samples>.csv`
-(svd: a `_real.csv` and `_imag.csv` pair), and
-the stdout of `mfs2d fit` on each sweep table listed in FITS to
-`OUTDIR/fit/<name>_<method>.csv`.  Run it once per checkout (e.g. a
-`git clone` of the parent commit) and compare with
+listed in BASIS_DUMPS to `OUTDIR/basis/<config>_<method>_n<N>_s<samples>.csv`,
+one file per dump, and the stdout of `mfs2d fit` on each sweep table listed
+in FITS to `OUTDIR/fit/<name>_<method>.csv`.  Run it once per checkout (e.g.
+a `git clone` of the parent commit) and compare with
 `diff -r OUTDIR_A OUTDIR_B`, or with the `compare` mode.
 
 `compare` reports the files that are byte-identical by count and, for each

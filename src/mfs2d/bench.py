@@ -17,8 +17,8 @@ which draws a cell's points, and _build, which checks and builds its backend.
 """
 
 import configparser
+import io
 import math
-import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -177,11 +177,34 @@ def _named_section(cp, section, key):
     return name, params
 
 
+def _text_lines(path):
+    """The lines of a UTF-8 file, newlines translated as open() does.
+
+    Bytes that are not UTF-8 raise ConfigError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def parse_config(path) -> ExperimentConfig:
-    """Parse a strict key=value config file with [domain]/[source]/[data]/[run] sections."""
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
+    """Parse a strict key=value config file with [domain]/[source]/[data]/[run] sections.
+
+    Values are taken literally (no % interpolation).  A file that is not
+    UTF-8, or that ConfigParser rejects (a repeated key or section, a line
+    before the first header or without '='), raises ConfigError naming the
+    file and the line: ConfigParser's own message, on one line.
+    """
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_file(_text_lines(path), source=str(path))
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from None
     extra = set(cp.sections()) - {"domain", "source", "data", "run"}
     if extra:
         raise ConfigError(f"unknown config sections {sorted(extra)}")
@@ -309,7 +332,7 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspa
         p=p,
         cond2=record.cond2,
         linf_error=record.linf_boundary_error,
-        max_imag=record.max_imag_on_boundary,
+        max_imag=0.0,    # every system, coefficient and evaluation is real
         runtime_ms=runtime_ms if cfg.timing else 0.0,
         constraint_margin=margin,
     )
@@ -345,8 +368,7 @@ def write_table(table: SweepTable, path):
 
 
 def read_table(path) -> SweepTable:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln.rstrip("\n") for ln in _text_lines(path) if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header in {path}")
     rows = []
@@ -402,12 +424,10 @@ def _basis_csv(path, t, values, labels):
 def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     """Dump basis-function traces along the boundary to CSV.
 
-    direct (PointSet context): one file, each column a fundamental-solution
-    trace normalized to unit max-abs.  svd (SvdBasis context): two files,
-    '<stem>_real<ext>' and '<stem>_imag<ext>', raw values; the svd basis is
-    real, so the _imag file is all zeros, kept so the set of files written
-    does not change.  qr (QrBasis context): one file, raw values.  Returns
-    the list of paths written.
+    One file at `path`.  direct (PointSet context): each column a
+    fundamental-solution trace psi_j normalized to unit max-abs.  qr (QrBasis
+    context) and svd (SvdBasis context): raw values, labelled psi_j for qr
+    and phi_j for svd.  Returns the list of paths written.
     Raises SizeLimitError, before sampling, when the count x width feature
     matrix is over FEATURE_BYTES_MAX, and DegenerateSystemError when a direct
     trace is too small to normalize.
@@ -427,15 +447,9 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
             j = int(np.argmin(peaks))
             raise DegenerateSystemError(f"direct trace psi{j + 1} vanishes, max-abs {peaks[j]:.3g}")
         traces = traces / peaks
-    if not isinstance(context, SvdBasis):
-        _basis_csv(path, grid.params, traces, [f"psi{j + 1}" for j in range(context.count)])
-        return [path]
-    stem, ext = os.path.splitext(path)
-    paths = [f"{stem}_real{ext}", f"{stem}_imag{ext}"]
-    labels = [f"phi{j + 1}" for j in range(context.count)]
-    _basis_csv(paths[0], grid.params, traces.real, labels)
-    _basis_csv(paths[1], grid.params, traces.imag, labels)
-    return paths
+    name = "phi" if isinstance(context, SvdBasis) else "psi"
+    _basis_csv(path, grid.params, traces, [f"{name}{j + 1}" for j in range(context.count)])
+    return [path]
 
 
 def build_method_context(cfg: ExperimentConfig, method: str, n: int):

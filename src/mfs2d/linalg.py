@@ -4,12 +4,10 @@ Thin wrappers over numpy's LAPACK bindings pinning down the conventions the
 rest of the package relies on: thin SVD with descending singular values,
 minimum-norm least squares, and the 2-norm condition number of (possibly
 rectangular) matrices with an infinity sentinel for numerically singular
-input.  Matrices are dense numpy arrays, row-major, float64 or complex128.
-The arithmetic follows the input: real input takes numpy's real LAPACK
-path, which does about a quarter of the work of the complex path.  All three
-solvers' systems are real, and so is the svd backend's reduced matrix, one
-real product of the expansion matrix and the Arnoldi coupling; only a complex
-caller takes the complex path.
+input.  Matrices are dense numpy arrays, row-major.  The arithmetic follows
+the input, and every caller in the package is real: the three solvers'
+systems and the svd backend's reduced matrix, one real product of the
+expansion matrix and the Arnoldi coupling, all take numpy's real LAPACK path.
 """
 
 import numpy as np

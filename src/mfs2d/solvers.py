@@ -110,9 +110,9 @@ def make_boundary_data(name: str, **params) -> BoundaryData:
 class SolveRecord:
     """Outcome of one least-squares solve.
 
-    linf_boundary_error and max_imag_on_boundary stay NaN until
-    boundary_error() fills them.  `context` keeps whatever the method needs
-    to evaluate the solution later (sources for direct, basis otherwise).
+    linf_boundary_error stays NaN until boundary_error() fills it.  `context`
+    keeps whatever the method needs to evaluate the solution later (sources
+    for direct, basis otherwise).
     """
 
     method: str
@@ -122,7 +122,6 @@ class SolveRecord:
     cond2: float
     runtime_ms: float
     linf_boundary_error: float = math.nan
-    max_imag_on_boundary: float = math.nan
     context: object = field(default=None, repr=False)
 
 
@@ -370,11 +369,12 @@ def solve_qr(basis: QrBasis, a: np.ndarray, g_values) -> SolveRecord:
 def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
     """Basis functions of a context at (n, 2) points times a coefficient block.
 
-    `context` is a PointSet (direct kernels), QrBasis or SvdBasis; coef is
-    (N, k) or (N,) on its basis functions, and None (the identity) gives one
-    column per function.  This is the one dispatch on the context: every
-    basis is feature rows times its coordinates, and the coordinates are
-    applied to coef before the rows are (coefficient-first).
+    `context` is a PointSet (direct kernels), QrBasis or SvdBasis; coef is a
+    real (N, k) or (N,) block on its basis functions, and None (the identity)
+    gives one column per function.  The result is float64: a complex block
+    raises numpy's casting TypeError.  This is the one dispatch on the
+    context: every basis is feature rows times its coordinates, and the
+    coordinates are applied to coef before the rows are (coefficient-first).
 
     This is the package's one point-block loop.  qr and svd rows are written
     arnoldi.CHUNK points at a time, direct rows min(CHUNK, _KERNEL_BLOCK // N)
@@ -411,14 +411,11 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
         coords = context.basis_coords.T if coef is None else context.basis_coords.T @ coef
     else:
         raise ValueError("context must be a PointSet, SvdBasis, or QrBasis")
-    if coords is None:
-        out = np.empty((n, width))
-    else:
-        out = np.empty((n,) + coords.shape[1:], dtype=np.result_type(coords, float))
-        if isinstance(context, SvdBasis):
-            buf = np.empty((width, min(step, n))).T
-        else:
-            buf = np.empty((min(step, n), width))
+    out = np.empty((n, width) if coords is None else (n,) + coords.shape[1:])
+    if isinstance(context, SvdBasis):
+        buf = np.empty((width, min(step, n))).T
+    elif coords is not None:
+        buf = np.empty((min(step, n), width))
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         if coords is None:
@@ -433,7 +430,7 @@ _CONTEXT_TYPES = {"direct": PointSet, "qr": QrBasis, "svd": SvdBasis}
 
 
 def _evaluate(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
-    """The record's solution at points: real for real coefficients, complex for complex ones."""
+    """The record's solution at points."""
     kind = _CONTEXT_TYPES.get(record.method)
     if kind is None or not isinstance(context, kind):
         raise ValueError(f"{record.method!r} evaluation cannot use a {type(context).__name__}")
@@ -441,7 +438,7 @@ def _evaluate(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
 
 
 def evaluate_solution(record: SolveRecord, context, points):
-    """Real part of the approximation at the given point(s).
+    """The approximation at the given point(s).
 
     `context` is the sources (direct) or basis (qr/svd); None falls back to
     the one stored on the record.  Accepts a pair or an (n, 2) array;
@@ -449,7 +446,7 @@ def evaluate_solution(record: SolveRecord, context, points):
     """
     ctx = record.context if context is None else context
     pts = np.asarray(points, dtype=float)
-    vals = _evaluate(record, ctx, np.atleast_2d(pts)).real
+    vals = _evaluate(record, ctx, np.atleast_2d(pts))
     return float(vals[0]) if pts.ndim == 1 else vals
 
 
@@ -458,15 +455,13 @@ def boundary_error(
 ) -> float:
     """Max |u - g| over `count` uniform-parameter boundary points.
 
-    Also records the largest imaginary part of the evaluation on the record:
-    0.0 for real boundary data, whose coefficients are real because all
-    three systems are.  Uses the record's stored evaluation context.
+    Stores it as the record's linf_boundary_error.  Uses the record's stored
+    evaluation context.
     """
     if record.context is None:
         raise ValueError("record has no stored evaluation context")
     pts = sample_collocation(curve, count).points
     vals = _evaluate(record, record.context, pts)
-    err = float(np.max(np.abs(vals.real - data.values(pts))))
+    err = float(np.max(np.abs(vals - data.values(pts))))
     record.linf_boundary_error = err
-    record.max_imag_on_boundary = float(np.max(np.abs(vals.imag)))
     return err

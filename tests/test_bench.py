@@ -339,25 +339,15 @@ class TestBasisSamples:
         trace = -np.log(np.hypot(pts[:, 0] - 3.0, pts[:, 1])) / (2 * np.pi)
         assert np.allclose(col, trace / np.max(np.abs(trace)), atol=1e-12)
 
-    def test_svd_emits_real_and_imag_files(self, tmp_path):
+    def test_svd_emits_one_file(self, tmp_path):
         cfg = config(n_values=(6,))
         context, ws = build_method_context(cfg, "svd", 6)
-        paths = emit_basis_samples(context, ws.domain, 32, tmp_path / "svd.csv")
-        assert [p.endswith("_real.csv") for p in paths] == [True, False]
-        assert paths[1].endswith("_imag.csv")
-        for p in paths:
-            lines = open(p).read().strip().splitlines()
-            assert lines[0] == "t," + ",".join(f"phi{i}" for i in range(1, 7))
-            assert len(lines) == 33
-
-    def test_svd_imag_file_is_all_zeros(self, tmp_path):
-        # the svd basis is real; the _imag file is still written, all zeros
-        cfg = config(n_values=(6,))
-        context, ws = build_method_context(cfg, "svd", 6)
-        real, imag = emit_basis_samples(context, ws.domain, 32, tmp_path / "svd.csv")
-        values = np.loadtxt(imag, delimiter=",", skiprows=1)
-        assert np.array_equal(values[:, 0], np.loadtxt(real, delimiter=",", skiprows=1)[:, 0])
-        assert not np.any(values[:, 1:])
+        path = tmp_path / "svd.csv"
+        assert emit_basis_samples(context, ws.domain, 32, path) == [str(path)]
+        assert sorted(tmp_path.iterdir()) == [path]
+        lines = path.read_text().strip().splitlines()
+        assert lines[0] == "t," + ",".join(f"phi{i}" for i in range(1, 7))
+        assert len(lines) == 33
 
     def test_sampled_gram_matches_stored_factors(self, tmp_path):
         # emit at exactly the collocation parameters and compare discrete
@@ -367,12 +357,10 @@ class TestBasisSamples:
         cfg = config(n_values=(6,))
         context, ws = build_method_context(cfg, "svd", 6)
         m = 12
-        paths = emit_basis_samples(context, ws.domain, m, tmp_path / "g.csv")
-        real = np.loadtxt(paths[0], delimiter=",", skiprows=1)[:, 1:]
-        imag = np.loadtxt(paths[1], delimiter=",", skiprows=1)[:, 1:]
-        traces = real + 1j * imag
+        (path,) = emit_basis_samples(context, ws.domain, m, tmp_path / "g.csv")
+        traces = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
         a = assemble_svd_system(context, sample_collocation(ws.domain, m))
-        assert np.max(np.abs(traces.conj().T @ traces - a.conj().T @ a)) <= 1e-10
+        assert np.max(np.abs(traces.T @ traces - a.T @ a)) <= 1e-10
 
     def test_count_too_small(self, tmp_path):
         sources = sample_sources(make_curve("circle", radius=3.0), 1)

@@ -1,4 +1,5 @@
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -119,6 +120,16 @@ class TestSweepAndFit:
         # too few pre-saturation rows for a fit -> numerical failure
         assert main(["fit", "--in", out_path, "--method", "direct"]) == 3
 
+    def test_star_circle2_sweep_writes_max_imag_zero(self, tmp_path):
+        # every system, coefficient and evaluation is real
+        config = pathlib.Path(__file__).parent.parent / "configs" / "star_circle2.cfg"
+        out = tmp_path / "star.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        column = lines[0].split(",").index("max_imag")
+        assert len(lines) == 31
+        assert {ln.split(",")[column] for ln in lines[1:]} == {"0.0"}
+
     def test_fit_output(self, tmp_path, capsys):
         import math
 
@@ -145,6 +156,44 @@ class TestSweepAndFit:
         assert main(["fit", "--in", str(tmp_path / "none.csv"), "--method", "direct"]) == 4
 
 
+_ROW = b"direct,10,20,0,1.0,0.0,0.0,0.0,0.5"
+
+
+class TestMalformedFiles:
+    """Files Python's parsers reject end in exit 2 with one line naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            pytest.param("sweep", CONFIG.replace("N = 6,8\n", "N = 6,8\nN = 6\n"), 14, id="key-twice"),
+            pytest.param("sweep", CONFIG + "\n[run]\nM_rule = 2\n", 16, id="section-twice"),
+            pytest.param("sweep", "N = 6\n" + CONFIG, 1, id="no-header"),
+            pytest.param("sweep", CONFIG.replace("timing = off", "timing off"), 14, id="no-equals"),
+            # values are literal, so this is a bad number, not a substitution
+            pytest.param("sweep", CONFIG.replace("radius = 2", "radius = %(x)s"), None, id="percent"),
+            pytest.param("sweep", CONFIG.encode().replace(b"x2y3", b"x2\xffy3"), 9, id="config-bytes"),
+            pytest.param("fit", CSV_HEADER.encode() + b"\n" + _ROW + b"\n\xe9\n", 3, id="table-bytes"),
+        ],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, command, text, line):
+        path = tmp_path / "input"
+        if isinstance(text, str):
+            path.write_text(text)
+        else:
+            path.write_bytes(text)
+        if command == "sweep":
+            args = ["sweep", "--config", str(path), "--out", str(tmp_path / "out.csv")]
+        else:
+            args = ["fit", "--in", str(path), "--method", "direct"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if line is not None:
+            assert str(path) in err and re.search(rf"\bline:? {line}\b", err)
+        assert not (tmp_path / "out.csv").exists()
+
+
 class TestBasis:
     def test_default_method_writes_file(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "basis.csv")
@@ -152,15 +201,16 @@ class TestBasis:
         assert rc == 0
         assert open(out).readline().startswith("t,psi1")
 
-    def test_svd_method_writes_two_files(self, config_path, tmp_path, capsys):
+    def test_svd_method_writes_one_file(self, config_path, tmp_path, capsys):
         out = str(tmp_path / "basis.csv")
         rc = main(
             ["basis", "--config", config_path, "--n", "6", "--samples", "40",
              "--out", out, "--method", "svd"]
         )
         assert rc == 0
-        printed = capsys.readouterr().out.strip().splitlines()
-        assert printed == [out.replace(".csv", "_real.csv"), out.replace(".csv", "_imag.csv")]
+        assert capsys.readouterr().out == out + "\n"
+        assert sorted(p.name for p in tmp_path.glob("basis*")) == ["basis.csv"]
+        assert open(out).readline() == "t," + ",".join(f"phi{i}" for i in range(1, 7)) + "\n"
 
 
     @pytest.mark.parametrize("samples", ["1", "0", "-3"])

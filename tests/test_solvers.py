@@ -189,7 +189,7 @@ class TestDirect:
         a = assemble_direct(sources, colloc)
         record = solve_direct(a, data.values(colloc.points), sources)
         assert boundary_error(record, domain, data) < 1e-2
-        assert record.max_imag_on_boundary == 0.0
+        assert evaluate_solution(record, None, colloc.points).dtype == np.float64
 
 
 @pytest.mark.filterwarnings("error")
@@ -427,7 +427,7 @@ class TestSvdBasis:
         pts = np.vstack([pts, 0.5 * pts])
         z = nodes(pts)
         rng = np.random.default_rng(n)
-        coef = rng.normal(size=(2 * p + 1, 3)) + 1j * rng.normal(size=(2 * p + 1, 3))
+        coef = rng.normal(size=(2 * p + 1, 6))
         # the real frame is the stacked frame [q_z0..q_zp, q_w1..q_wp] times T,
         # each factor replayed at its own nodes, point by point
         stacked = np.hstack([pointwise_q(z_factor, z), pointwise_q(w_factor, np.conj(z))[:, 1:]])
@@ -481,21 +481,6 @@ class TestSvdBasis:
         # measured 4.8e-15 (near) and 3.3e-15 (star)
         frame_c = solvers.basis_values(frame_basis(basis), pts, c.T)
         assert np.max(np.abs(frame_c - monomials)) <= 1e-13
-
-    def test_complex_coefficients_keep_their_imaginary_part(self):
-        # the frame is real, so a complex block's real and imaginary parts are
-        # the real block's values; taking the real part of the block would drop one
-        data = make_boundary_data("x2y3")
-        basis, _, _, colloc = svd_pipeline(make_curve("star_kite"), make_curve("circle", radius=2.0), 20, data)
-        rng = np.random.default_rng(3)
-        re, im = rng.normal(size=(2, basis.count, 2))
-        real_part = solvers.basis_values(basis, colloc.points, re)
-        imag_part = solvers.basis_values(basis, colloc.points, im)
-        got = solvers.basis_values(basis, colloc.points, re + 1j * im)
-        assert got.dtype == np.complex128
-        assert np.array_equal(got.real, real_part)
-        assert np.array_equal(got.imag, imag_part)
-        assert np.max(np.abs(got.imag)) > 0.1
 
     def test_system_and_rows_are_real(self):
         data = make_boundary_data("x2y3")
@@ -590,7 +575,7 @@ class TestQr:
         # representation is exact up to the degree-60 truncation residual,
         # ~ (R/rho)^61 / (61 (1 - R/rho) 2 pi) ~ 1e-11 on this geometry
         assert boundary_error(record, domain, g) <= 1e-9
-        assert record.max_imag_on_boundary == 0.0
+        assert evaluate_solution(record, None, colloc.points).dtype == np.float64
 
 
 class TestQrBoundaryScaling:
@@ -698,12 +683,28 @@ class TestEvaluation:
         assert abs(e2 - e1) <= 0.05 * max(e1, e2)
 
     def test_max_imag_small_on_converged_solve(self):
-        domain = make_curve("circle")
-        data = make_boundary_data("x2y3")
-        _, _, record, _ = svd_pipeline(domain, make_curve("gamma_blob"), 60, data)
-        err = boundary_error(record, domain, data)
-        assert err <= 1e-12
-        assert record.max_imag_on_boundary <= 1e-8
+        cfg = ExperimentConfig(
+            domain="circle", source="gamma_blob", data="x2y3", methods=("svd",), n_values=(60,)
+        )
+        row, _ = run_single(cfg, "svd", 60)
+        assert row.linf_error <= 1e-12
+        assert row.max_imag <= 1e-8
+
+    @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
+    def test_complex_coefficients_raise_type_error(self, method):
+        # every basis is real, so the result is float64 and a complex block
+        # cannot be cast into it
+        cfg = ExperimentConfig(
+            domain="star_kite", source="circle", source_params={"radius": 2.0},
+            data="x2y3", methods=(method,), n_values=(20,),
+        )
+        context = build_method_context(cfg, method, 20)[0]
+        points = sample_collocation(make_curve("star_kite"), 40).points
+        coef = np.ones((20, 2)) + 1j
+        assert solvers.basis_values(context, points, coef.real).dtype == np.float64
+        for block in (coef, coef[:, 0]):
+            with pytest.raises(TypeError):
+                solvers.basis_values(context, points, block)
 
     def test_maximum_principle_on_harmonic_data(self):
         rng = np.random.default_rng(9)
