@@ -323,15 +323,14 @@ def run_single(cfg: ExperimentConfig, method: str, n: int, ws: Optional[_Workspa
         record = solve_svd(context, assemble_svd_system(context, colloc), g)
     else:
         record = solve_qr(context, assemble_qr_system(context, colloc), g)
-    record.runtime_ms = runtime_ms = (time.perf_counter() - t0) * 1e3
-    boundary_error(record, ws.domain, ws.data, cfg.error_samples)
+    runtime_ms = (time.perf_counter() - t0) * 1e3    # build, assemble and solve
     row = SweepRow(
         method=method,
         n=n,
         m=colloc.count,
         p=p,
         cond2=record.cond2,
-        linf_error=record.linf_boundary_error,
+        linf_error=boundary_error(record, ws.domain, ws.data, cfg.error_samples),
         max_imag=0.0,    # every system, coefficient and evaluation is real
         runtime_ms=runtime_ms if cfg.timing else 0.0,
         constraint_margin=margin,
@@ -395,19 +394,29 @@ class GrowthFit:
 def fit_growth_rate(table: SweepTable, method: str) -> GrowthFit:
     """Least-squares slope of ln(cond2) against N over pre-saturation rows.
 
-    Rows with cond2 >= 1e15 (or non-finite) are excluded; at least four rows
-    must remain.
+    Rows with cond2 >= 1e15 (or non-finite) are excluded.  A remaining row
+    with |N| > 2^53, where N is no longer exact in float64, raises
+    ConfigError naming it.  Fewer than four distinct N, or N values too close
+    together for the fit to have rank 2, raise InsufficientDataError.
     """
     rows = [
         r
         for r in table.for_method(method)
         if math.isfinite(r.cond2) and 0.0 < r.cond2 < _SATURATION_COND
     ]
-    if len(rows) < 4:
+    for r in rows:
+        if abs(r.n) > 2**53:
+            raise ConfigError(f"{method} row N={r.n}: |N| above 2^53 cannot be fitted")
+    distinct = len({r.n for r in rows})
+    if distinct < 4:
         raise InsufficientDataError(
-            f"{len(rows)} usable rows for method {method!r}, need at least 4"
+            f"{distinct} distinct N in the usable rows for method {method!r}, need at least 4"
         )
-    slope, intercept = np.polyfit([r.n for r in rows], np.log([r.cond2 for r in rows]), 1)
+    (slope, intercept), _, rank, _, _ = np.polyfit(
+        [r.n for r in rows], np.log([r.cond2 for r in rows]), 1, full=True
+    )
+    if rank < 2:
+        raise InsufficientDataError(f"the N values of method {method!r} are too close to fit")
     return GrowthFit(slope=float(slope), intercept=float(intercept))
 
 
@@ -427,7 +436,7 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
     One file at `path`.  direct (PointSet context): each column a
     fundamental-solution trace psi_j normalized to unit max-abs.  qr (QrBasis
     context) and svd (SvdBasis context): raw values, labelled psi_j for qr
-    and phi_j for svd.  Returns the list of paths written.
+    and phi_j for svd.
     Raises SizeLimitError, before sampling, when the count x width feature
     matrix is over FEATURE_BYTES_MAX, and DegenerateSystemError when a direct
     trace is too small to normalize.
@@ -440,7 +449,6 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
         _check_size(count, 2 * context.degree + 1, 16 if isinstance(context, SvdBasis) else 8)
     grid = sample_collocation(curve, count)
     traces = basis_values(context, grid.points)
-    path = str(path)
     if isinstance(context, PointSet):
         peaks = np.max(np.abs(traces), axis=0)
         if np.min(peaks) <= _TRACE_FLOOR:
@@ -449,7 +457,6 @@ def emit_basis_samples(context, curve: BoundaryCurve, count: int, path):
         traces = traces / peaks
     name = "phi" if isinstance(context, SvdBasis) else "psi"
     _basis_csv(path, grid.params, traces, [f"{name}{j + 1}" for j in range(context.count)])
-    return [path]
 
 
 def build_method_context(cfg: ExperimentConfig, method: str, n: int):

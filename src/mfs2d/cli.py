@@ -71,9 +71,8 @@ def _cmd_basis(args) -> int:
         raise ConfigError("--samples must be >= 2")
     method = args.method or cfg.methods[0]
     context, ws = bench.build_method_context(cfg, method, args.n)
-    paths = bench.emit_basis_samples(context, ws.domain, args.samples, args.out)
-    for p in paths:
-        sys.stdout.write(p + "\n")
+    bench.emit_basis_samples(context, ws.domain, args.samples, args.out)
+    sys.stdout.write(args.out + "\n")
     return 0
 
 

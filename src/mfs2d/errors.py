@@ -58,7 +58,7 @@ class DegenerateCurveError(NumericalError):
 
 
 class RankDeficiencyError(NumericalError):
-    """Trailing singular values of the reduced expansion matrix collapsed."""
+    """The smallest singular value of the reduced expansion matrix is exactly 0."""
 
     def __init__(self, tail, message=None):
         self.tail = list(tail)

@@ -314,20 +314,21 @@ def sample_sources(curve: BoundaryCurve, count: int) -> PointSet:
     return sources
 
 
-def max_boundary_radius(curve: BoundaryCurve, samples: int = 2048) -> float:
+_RADIUS_GRID = 2048    # uniform parameters that bracket the maximizer
+
+
+def max_boundary_radius(curve: BoundaryCurve) -> float:
     """Maximum distance of the curve from the origin.
 
-    A dense uniform parameter grid locates the maximizer; golden-section
+    A uniform grid of 2048 parameters locates the maximizer; golden-section
     refinement on the bracketing interval tightens it to ~1e-12 in parameter,
     giving a lower bound tight to ~1e-10 relative for smooth curves.
     """
-    if samples < 256:
-        raise ValueError("samples must be >= 256")
-    grid = np.linspace(0.0, TWO_PI, int(samples), endpoint=False)
+    grid = np.linspace(0.0, TWO_PI, _RADIUS_GRID, endpoint=False)
     pts = curve.point(grid)
     norms = np.hypot(pts[:, 0], pts[:, 1])
     k = int(np.argmax(norms))
-    h = TWO_PI / samples
+    h = TWO_PI / _RADIUS_GRID
 
     def f(t):
         return math.hypot(*curve.point(t))

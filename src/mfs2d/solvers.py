@@ -38,9 +38,7 @@ svd, and for direct as many as keep a block within _KERNEL_BLOCK entries
 """
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -106,13 +104,12 @@ def make_boundary_data(name: str, **params) -> BoundaryData:
 # --- records and bases -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveRecord:
-    """Outcome of one least-squares solve.
+    """Outcome of one least-squares solve; frozen, it holds only what the solve produced.
 
-    linf_boundary_error stays NaN until boundary_error() fills it.  `context`
-    keeps whatever the method needs to evaluate the solution later (sources
-    for direct, basis otherwise).
+    `context` keeps whatever the method needs to evaluate the solution later
+    (sources for direct, basis otherwise).
     """
 
     method: str
@@ -120,9 +117,7 @@ class SolveRecord:
     n_colloc: int
     coefficients: np.ndarray = field(repr=False)
     cond2: float
-    runtime_ms: float
-    linf_boundary_error: float = math.nan
-    context: object = field(default=None, repr=False)
+    context: object = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -225,21 +220,17 @@ def assemble_direct(sources: PointSet, colloc: PointSet) -> np.ndarray:
 
 
 def _solve(method: str, a: np.ndarray, g_values, context) -> SolveRecord:
-    t0 = time.perf_counter()
-    coeff = linalg.lstsq(a, g_values)
-    elapsed = (time.perf_counter() - t0) * 1e3
     return SolveRecord(
         method=method,
         n_basis=a.shape[1],
         n_colloc=a.shape[0],
-        coefficients=coeff,
+        coefficients=linalg.lstsq(a, g_values),
         cond2=linalg.cond2(a),
-        runtime_ms=elapsed,
         context=context,
     )
 
 
-def solve_direct(a: np.ndarray, g_values, sources: Optional[PointSet] = None) -> SolveRecord:
+def solve_direct(a: np.ndarray, g_values, sources: PointSet) -> SolveRecord:
     """Least-squares solve of the direct collocation system."""
     return _solve("direct", a, g_values, sources)
 
@@ -247,9 +238,7 @@ def solve_direct(a: np.ndarray, g_values, sources: Optional[PointSet] = None) ->
 # --- svd backend -------------------------------------------------------------
 
 
-def build_svd_basis(
-    setup: ExpansionSetup, colloc: PointSet, rank_tol: float = 0.0
-) -> SvdBasis:
+def build_svd_basis(setup: ExpansionSetup, colloc: PointSet) -> SvdBasis:
     """Construct the well-conditioned basis on the given collocation set.
 
     Runs independent Arnoldi factorizations on the scaled boundary nodes
@@ -262,15 +251,13 @@ def build_svd_basis(
 
     The trailing singular values decay exponentially with the basis size
     (they mirror the conditioning of the kernel basis itself), which is
-    harmless here because only the orthonormal rows are kept.  `rank_tol`
-    therefore defaults to 0 and exists to flag structurally redundant
-    sources: with e.g. duplicated source points the tail collapses to
-    roundoff immediately and a small positive tolerance catches it.
+    harmless here because only the orthonormal rows are kept.
 
     Raises
     ------
     RankDeficiencyError
-        S[-1] <= rank_tol * S[0] (reports the trailing singular values).
+        The smallest singular value is exactly 0, as with sources so far
+        away that the expansion underflows (reports the trailing values).
     """
     n = setup.count
     p = setup.degree
@@ -285,7 +272,7 @@ def build_svd_basis(
     h = z_factor.h
     del z_factor, w_factor    # free both (M, p+1) Q and R before the SVD
     _, s, vh = linalg.svd_thin(reduced)
-    if s[-1] <= rank_tol * s[0]:
+    if s[-1] == 0.0:
         raise RankDeficiencyError(s[max(0, n - 3) :].tolist())
     return SvdBasis(
         basis_coords=vh[:n],
@@ -429,39 +416,26 @@ def basis_values(context, points: np.ndarray, coef=None) -> np.ndarray:
 _CONTEXT_TYPES = {"direct": PointSet, "qr": QrBasis, "svd": SvdBasis}
 
 
-def _evaluate(record: SolveRecord, context, points: np.ndarray) -> np.ndarray:
-    """The record's solution at points."""
-    kind = _CONTEXT_TYPES.get(record.method)
-    if kind is None or not isinstance(context, kind):
-        raise ValueError(f"{record.method!r} evaluation cannot use a {type(context).__name__}")
-    return basis_values(context, points, record.coefficients)
-
-
 def evaluate_solution(record: SolveRecord, context, points):
     """The approximation at the given point(s).
 
     `context` is the sources (direct) or basis (qr/svd); None falls back to
-    the one stored on the record.  Accepts a pair or an (n, 2) array;
+    the one stored on the record.  A context of the wrong type for the
+    record's method raises ValueError.  Accepts a pair or an (n, 2) array;
     returns a scalar for a single point.
     """
     ctx = record.context if context is None else context
+    kind = _CONTEXT_TYPES.get(record.method)
+    if kind is None or not isinstance(ctx, kind):
+        raise ValueError(f"{record.method!r} evaluation cannot use a {type(ctx).__name__}")
     pts = np.asarray(points, dtype=float)
-    vals = _evaluate(record, ctx, np.atleast_2d(pts))
+    vals = basis_values(ctx, np.atleast_2d(pts), record.coefficients)
     return float(vals[0]) if pts.ndim == 1 else vals
 
 
 def boundary_error(
     record: SolveRecord, curve: BoundaryCurve, data: BoundaryData, count: int = 10001
 ) -> float:
-    """Max |u - g| over `count` uniform-parameter boundary points.
-
-    Stores it as the record's linf_boundary_error.  Uses the record's stored
-    evaluation context.
-    """
-    if record.context is None:
-        raise ValueError("record has no stored evaluation context")
+    """Max |u - g| over `count` uniform-parameter boundary points, with the record's context."""
     pts = sample_collocation(curve, count).points
-    vals = _evaluate(record, record.context, pts)
-    err = float(np.max(np.abs(vals - data.values(pts))))
-    record.linf_boundary_error = err
-    return err
+    return float(np.max(np.abs(evaluate_solution(record, None, pts) - data.values(pts))))

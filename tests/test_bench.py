@@ -343,7 +343,7 @@ class TestBasisSamples:
         cfg = config(n_values=(6,))
         context, ws = build_method_context(cfg, "svd", 6)
         path = tmp_path / "svd.csv"
-        assert emit_basis_samples(context, ws.domain, 32, path) == [str(path)]
+        emit_basis_samples(context, ws.domain, 32, path)
         assert sorted(tmp_path.iterdir()) == [path]
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t," + ",".join(f"phi{i}" for i in range(1, 7))
@@ -357,7 +357,8 @@ class TestBasisSamples:
         cfg = config(n_values=(6,))
         context, ws = build_method_context(cfg, "svd", 6)
         m = 12
-        (path,) = emit_basis_samples(context, ws.domain, m, tmp_path / "g.csv")
+        path = tmp_path / "g.csv"
+        emit_basis_samples(context, ws.domain, m, path)
         traces = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:]
         a = assemble_svd_system(context, sample_collocation(ws.domain, m))
         assert np.max(np.abs(traces.T @ traces - a.T @ a)) <= 1e-10

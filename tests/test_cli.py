@@ -1,13 +1,18 @@
+import io
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfs2d import ConfigError
 from mfs2d.bench import CSV_HEADER, build_method_context, parse_config
@@ -51,6 +56,15 @@ class TestSolve:
         assert main(["solve", "--config", config_path, "--n", "8"]) == 0
         out = capsys.readouterr().out
         assert ",8,16," in out
+
+    def test_vanishing_singular_value_exits_3(self, tmp_path, capsys):
+        # svd sources at radius 1e300: the reduced matrix has an exact zero singular value
+        path = tmp_path / "far.cfg"
+        path.write_text(
+            CONFIG.replace("radius = 2", "radius = 1e300").replace("direct,svd\nN = 6,8", "svd\nN = 4")
+        )
+        assert main(["solve", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: rank deficiency")
 
     def test_constraint_failure_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -155,6 +169,55 @@ class TestSweepAndFit:
     def test_fit_missing_file_exits_4(self, tmp_path):
         assert main(["fit", "--in", str(tmp_path / "none.csv"), "--method", "direct"]) == 4
 
+    def test_fit_on_one_repeated_n_exits_3_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(fit_table([10] * 4, [1.0, 2.0, 3.0, 4.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--in", str(path), "--method", "direct"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure: 1 distinct N")
+
+    @pytest.mark.parametrize("big", [2**64, 10**33, 10**160])
+    def test_fit_on_an_n_beyond_float64_exits_2_naming_the_row(self, tmp_path, capsys, big):
+        path = tmp_path / "t.csv"
+        path.write_text(fit_table([10, 20, 30, big], [1.0, 2.0, 3.0, 4.0]))
+        assert main(["fit", "--in", str(path), "--method", "direct"]) == 2
+        assert capsys.readouterr().err == f"configuration error: direct row N={big}: |N| above 2^53 cannot be fitted\n"
+
+
+def fit_table(ns, conds):
+    """A sweep CSV of direct rows with the given N and cond2 columns."""
+    rows = [f"direct,{n},20,0,{c!r},0.0,0.0,0.0,0.5" for n, c in zip(ns, conds)]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ns=st.lists(
+        st.one_of(st.integers(1, 12), st.integers(-(2**70), 2**70), st.sampled_from([2**53, 2**53 + 1])),
+        min_size=4,
+        max_size=8,
+    ),
+    conds=st.lists(st.floats(1.0, 1e14), min_size=8, max_size=8),
+)
+@example(ns=[10, 10, 10, 10], conds=[1.0, 2.0, 3.0, 4.0] * 2)
+@example(ns=[2**50 - k for k in range(4)], conds=[1.0, 2.0, 3.0, 4.0] * 2)
+def test_fit_ends_in_a_line_or_a_typed_error(ns, conds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "t.csv"
+        path.write_text(fit_table(ns, conds))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["fit", "--in", str(path), "--method", "direct"])
+    if rc == 0:
+        assert not caught and err.getvalue() == ""
+        assert out.getvalue().splitlines()[0] == "slope,intercept"
+    else:
+        assert rc in (2, 3) and out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
 
 _ROW = b"direct,10,20,0,1.0,0.0,0.0,0.0,0.5"
 
@@ -199,6 +262,7 @@ class TestBasis:
         out = str(tmp_path / "basis.csv")
         rc = main(["basis", "--config", config_path, "--n", "6", "--samples", "40", "--out", out])
         assert rc == 0
+        assert capsys.readouterr().out == out + "\n"
         assert open(out).readline().startswith("t,psi1")
 
     def test_svd_method_writes_one_file(self, config_path, tmp_path, capsys):

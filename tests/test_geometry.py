@@ -246,14 +246,11 @@ class TestMaxBoundaryRadius:
 
     def test_star_kite_analytic_and_self_convergent(self):
         analytic = (1 + math.sqrt(18 / 5)) ** (1 / 3)
-        coarse = max_boundary_radius(make_curve("star_kite"), samples=2048)
-        fine = max_boundary_radius(make_curve("star_kite"), samples=4096)
-        assert coarse == pytest.approx(analytic, rel=1e-12)
-        assert abs(fine - coarse) <= 1e-10 * coarse
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
-            max_boundary_radius(make_curve("circle"), samples=100)
+        curve = make_curve("star_kite")
+        radius = max_boundary_radius(curve)
+        assert radius == pytest.approx(analytic, rel=1e-12)
+        dense = np.max(np.hypot(*curve.point(np.linspace(0, 2 * np.pi, 2**20, endpoint=False)).T))
+        assert abs(dense - radius) <= 1e-10 * radius
 
 
 class TestSourceConstraint:

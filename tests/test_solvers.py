@@ -384,17 +384,14 @@ class TestSvdBasis:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_duplicate_sources_flagged_by_rank_tolerance(self):
-        domain = make_curve("circle")
-        colloc = sample_collocation(domain, 16)
-        base = sample_sources(make_curve("circle", radius=2.0), 8)
-        pts = base.points.copy()
-        pts[7] = pts[0]    # duplicated source
-        dup = dataclasses.replace(base, points=pts)
-        setup = setup_expansion(dup, 1.0, 8, max_degree=7)
-        with pytest.raises(RankDeficiencyError):
-            build_svd_basis(setup, colloc, rank_tol=1e-13)
-        build_svd_basis(setup, colloc)    # default tolerance accepts it
+    def test_vanishing_singular_value_raises(self):
+        # the expansion of sources at radius 1e300 underflows, and the reduced
+        # matrix's singular-value tail ends in an exact 0: [2.8e-300, 2.8e-300, 0.0]
+        colloc = sample_collocation(make_curve("circle"), 8)
+        sources = sample_sources(make_curve("circle", radius=1e300), 4)
+        with pytest.raises(RankDeficiencyError) as info:
+            build_svd_basis(setup_expansion(sources, 1.0, 4, max_degree=3), colloc)
+        assert info.value.tail[-1] == 0.0 < info.value.tail[-2]
 
     @staticmethod
     def cell(domain, source_radius, n):
@@ -627,7 +624,8 @@ class TestQrBoundaryScaling:
         expected = a @ record.coefficients
         assert np.max(np.abs(vals - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-        (path,) = emit_basis_samples(basis, domain, 64, tmp_path / "qr.csv")
+        path = tmp_path / "qr.csv"
+        emit_basis_samples(basis, domain, 64, path)
         dumped = np.loadtxt(path, delimiter=",", skiprows=1)
         pts = domain.point(dumped[:, 0])
         # unit coefficient vectors make evaluation return the basis columns
@@ -719,11 +717,14 @@ class TestEvaluation:
         assert interior <= err + 1e-13
 
     def test_runtime_recorded(self):
+        # the cell time is the row's: the record holds only what the solve produced
         domain = make_curve("circle")
         data = make_boundary_data("x2y3")
         _, _, record, _ = svd_pipeline(domain, make_curve("circle", radius=2.0), 8, data)
-        assert record.runtime_ms >= 0.0
         assert record.method == "svd" and record.n_basis == 8 and record.n_colloc == 16
+        assert not hasattr(record, "runtime_ms")
+        row, _ = run_single(dataclasses.replace(star_config("svd", 8), timing=True), "svd", 8)
+        assert row.runtime_ms > 0.0
 
     def test_full_scale_n800(self):
         # largest configured problem: 1600x800 system, conditioning still flat
@@ -753,6 +754,26 @@ def star_cell(method, n):
     return run_single(star_config(method, n), method, n)[1]
 
 
+class TestSolveRecord:
+    def test_fields_cannot_be_assigned(self):
+        record = star_cell("direct", 8)
+        for name, value in [("cond2", 1.0), ("coefficients", None), ("context", None)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, value)
+
+    @pytest.mark.parametrize("method", ["direct", "qr", "svd"])
+    def test_boundary_error_is_the_row_value(self, method):
+        cfg = star_config(method, 20)
+        row, record = run_single(cfg, method, 20)
+        err = boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"), cfg.error_samples)
+        assert type(err) is float and err == row.linf_error
+
+    def test_record_without_context_is_rejected(self):
+        record = dataclasses.replace(star_cell("direct", 8), context=None)
+        with pytest.raises(ValueError, match="cannot use a NoneType"):
+            boundary_error(record, make_curve("star_kite"), make_boundary_data("x2y3"))
+
+
 class TestCoefficientFirstEvaluation:
     def test_qr_boundary_error_never_forms_the_basis_matrix(self):
         record = star_cell("qr", 500)
@@ -770,7 +791,8 @@ class TestCoefficientFirstEvaluation:
     def test_unit_coefficients_evaluate_to_the_dumped_traces(self, method, tmp_path):
         domain = make_curve("star_kite")
         record = star_cell(method, 20)
-        path = emit_basis_samples(record.context, domain, 64, tmp_path / "basis.csv")[0]
+        path = tmp_path / "basis.csv"
+        emit_basis_samples(record.context, domain, 64, path)
         dumped = np.loadtxt(path, delimiter=",", skiprows=1)
         unit = dataclasses.replace(record, coefficients=np.eye(record.n_basis))
         columns = evaluate_solution(unit, None, domain.point(dumped[:, 0]))
