@@ -17,6 +17,21 @@ either.  The basis extends to new points a block at a time: evaluate_basis
 replays the Hessenberg recurrence and writes the block's real frame [q_0,
 sqrt2 Re q_k, sqrt2 Im q_k], on which coupling_matrix gives the real
 monomials' coordinates; this module alone knows that layout.
+
+Each entry of H above the subdiagonal is an M-term inner product
+q_j^H (x q_k) of unit vectors, so its rounding error is at most
+gamma_{M+2} max|x| <= tau = M eps max|x| (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002, sections 3.1 and 3.6; M >= 3).  A
+DEGREE_BLOCK column block whose entries above the subdiagonal are all at
+most tau cannot be told from a pure shift, and the factor stores them as
+exact zeros before R is formed; evaluate_basis then skips the block's
+products, so the replay is O(p) per point there instead of O(p^2).  On
+equispaced circle nodes the exact H is the shift (x q_k = q_{k+1} for
+k + 1 < M), and every block qualifies on every disk config that runs svd:
+near_svd, gamma_crossover and far_sources_basis, whose noise is at most
+0.14 tau.  No block qualifies on star_kite, osc_r1 or eta2, where each
+block's largest entry is 0.09 to 0.31, over 1e11 tau, so their H is the
+dense one.
 """
 
 from dataclasses import dataclass
@@ -25,14 +40,20 @@ import numpy as np
 
 from .errors import DegenerateNodesError
 
-# Points per block in solvers.basis_values; recurrence steps per history product.
+# Points per block in solvers.basis_values; recurrence steps per history product
+# and per zero test of H.
 CHUNK = 1024
 DEGREE_BLOCK = 32
 
 
 @dataclass(frozen=True)
 class ArnoldiFactor:
-    """Arnoldi data for one node set: Q (M, n+1), H (n+1, n), R (n+1, n+1)."""
+    """Arnoldi data for one node set: Q (M, n+1), H (n+1, n), R (n+1, n+1).
+
+    A degree block of H whose entries above the subdiagonal are all within
+    tau = M eps max|nodes| holds exact zeros there (see the module
+    docstring), and R is formed from that H.
+    """
 
     q: np.ndarray
     h: np.ndarray
@@ -96,6 +117,15 @@ def arnoldi_vandermonde(nodes, degree: int) -> ArnoldiFactor:
         h[k + 1, k] = norm
         np.divide(v, norm, out=qt[k + 1])
 
+    # a degree block whose entries above the subdiagonal are all within the
+    # rounding of an M-term inner product is stored as exact zeros
+    tau = m * np.finfo(float).eps * scale
+    for kb in range(0, n, DEGREE_BLOCK):
+        cols = range(kb, min(kb + DEGREE_BLOCK, n))
+        if all(np.abs(h[: k + 1, k]).max() <= tau for k in cols):
+            for k in cols:
+                h[: k + 1, k] = 0.0
+
     r = np.zeros((n + 1, n + 1), dtype=complex)
     r[0, 0] = np.sqrt(m)
     for k in range(n):
@@ -125,7 +155,12 @@ def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
     only the in-block recurrence runs step by step, its products written
     into the last row.  The subdiagonal must be real, as the factor makes
     it: numpy divides by s + 0i as a multiply by 1/s, so multiplying the
-    float view by 1/s gives the same bits.  Callers allocate both buffers
+    float view by 1/s gives the same bits.  A degree block whose only
+    nonzeros in h[:K+b, K:K+b] are its b - 1 subdiagonal entries is a pure
+    shift, q_{k+1} = x q_k / s_k: its history and in-block products would
+    subtract exact zeros, which changes no nonzero value, so they are
+    skipped, and the factor's zeroed blocks (every block on the disk) cost
+    O(1) per step and point instead of O(k).  Callers allocate both buffers
     once for all their blocks: a large temporary made fresh per block can
     be a fresh mmap, page-faulted anew.
     """
@@ -148,14 +183,19 @@ def evaluate_basis(factor, new_nodes, scratch, frame) -> np.ndarray:
     for kb in range(0, n, DEGREE_BLOCK):
         b = min(DEGREE_BLOCK, n - kb)
         known = hist[:b]
-        np.matmul(h[: kb + 1, kb : kb + b].T, q[: kb + 1], out=known)
+        # the block's b - 1 subdiagonal entries are nonzero, so it is a pure shift
+        # exactly when they are the only nonzeros of h[:kb+b, kb:kb+b]
+        shift = np.count_nonzero(h[: kb + b, kb : kb + b]) == b - 1
+        if not shift:
+            np.matmul(h[: kb + 1, kb : kb + b].T, q[: kb + 1], out=known)
         for k in range(kb, kb + b):
-            acc = known[k - kb]
-            if k > kb:
-                acc += np.matmul(h[kb + 1 : k + 1, k], q[kb + 1 : k + 1], out=prod)
             nxt = q[k + 1]
             np.multiply(x, q[k], out=nxt)
-            nxt -= acc
+            if not shift:
+                acc = known[k - kb]
+                if k > kb:
+                    acc += np.matmul(h[kb + 1 : k + 1, k], q[kb + 1 : k + 1], out=prod)
+                nxt -= acc
             np.multiply(nxt.view(float), inv[k], out=nxt.view(float))
     frame[0] = start
     # one pass over the float view: (Re q_k, Im q_k) pairs to rows 2k-1, 2k

@@ -384,6 +384,103 @@ def test_replay_is_bitwise_the_complex_division_replay(domain, source_radius, n)
         assert got[:, :width].tobytes() == want[:, :width].tobytes()
 
 
+def circle_nodes(m, radii=1.0):
+    return radii * np.exp(2j * np.pi * np.arange(m) / m)
+
+
+def perturbed_circle(m):
+    """Equispaced nodes on radii 1 + 1e-10 u, u uniform on [-1, 1]."""
+    return circle_nodes(m, 1 + 1e-10 * np.random.default_rng(0).uniform(-1.0, 1.0, m))
+
+
+def curve_nodes(name, m):
+    """M collocation nodes of a named curve, scaled by its maximum radius as svd scales them."""
+    curve = make_curve(name)
+    return scaled_coordinate(sample_collocation(curve, m).points, max_boundary_radius(curve))
+
+
+def block_maxima(fac):
+    """The largest |h| above the subdiagonal in each DEGREE_BLOCK column block."""
+    p, width = fac.degree, arnoldi.DEGREE_BLOCK
+    upper = np.abs(np.triu(fac.h))
+    return np.array([upper[:, kb : kb + width].max() for kb in range(0, p, width)])
+
+
+def rounding_bound(nodes):
+    """tau = M eps max|x|, the bound on one M-term inner product's rounding."""
+    return nodes.shape[0] * np.finfo(float).eps * np.max(np.abs(nodes))
+
+
+class TestShiftBlocks:
+    """Degree blocks of H that are rounding noise above the subdiagonal are stored as zeros."""
+
+    def test_circle_hessenberg_is_an_exact_shift(self):
+        # equispaced nodes: x q_k = q_{k+1} for k + 1 < M, so H is the shift
+        nodes = circle_nodes(450)
+        fac = arnoldi_vandermonde(nodes, 224)
+        assert np.count_nonzero(np.triu(fac.h)) == 0
+        assert np.max(np.abs(np.diagonal(fac.h, -1) - 1.0)) <= 1e-15
+        # the c08 invariants
+        orth = np.max(np.abs(fac.q.conj().T @ fac.q - np.eye(225)))
+        lhs = nodes[:, None] * fac.q[:, :-1]
+        rel = np.linalg.norm(lhs - fac.q @ fac.h) / np.linalg.norm(fac.q)
+        v = vander(nodes, 224)
+        recon = np.linalg.norm(v - fac.q @ fac.r) / np.linalg.norm(v)
+        assert orth <= 1e-12 and rel <= 1e-12 and recon <= 1e-12
+
+    def test_circle_frame_is_the_scaled_power_frame(self):
+        # at the 10001 boundary points of boundary_error the replay is the
+        # frame sqrt2 (Re, Im) z^k / sqrt(M) of the rounded points, powers
+        # taken in extended precision: measured 2.7e-16 here, against 6.1e-15
+        # for the replay of the same nodes' H before its noise was zeroed
+        if np.finfo(np.longdouble).precision < 18:
+            pytest.skip("needs an extended-precision long double")
+        m, p = 450, 224
+        fac = arnoldi_vandermonde(circle_nodes(m), p)
+        xy = sample_collocation(make_curve("circle"), 10001).points
+        z = xy[:, 0] + 1j * xy[:, 1]
+        got = frame(fac, z)
+        wide = z.astype(np.clongdouble)
+        powers = np.cumprod(np.broadcast_to(wide[:, None], (z.size, p)), axis=1)
+        root_m = np.sqrt(np.longdouble(m))
+        want = np.empty(got.shape, dtype=np.longdouble)
+        want[:, 0] = 1 / root_m
+        want[:, 1::2] = np.sqrt(np.longdouble(2)) * powers.real / root_m
+        want[:, 2::2] = np.sqrt(np.longdouble(2)) * powers.imag / root_m
+        assert float(np.max(np.abs(got - want))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            pytest.param(lambda: star_nodes(1000), id="star_kite"),
+            pytest.param(lambda: curve_nodes("osc_r1", 1000), id="osc_r1"),
+            pytest.param(lambda: curve_nodes("eta2", 1000), id="eta2"),
+            # radii perturbed by 1e-10: H above the subdiagonal is 1e-10, not noise
+            pytest.param(lambda: perturbed_circle(1000), id="perturbed-circle"),
+        ],
+    )
+    def test_no_block_zeroed_off_the_equispaced_circle(self, nodes):
+        nodes = nodes()
+        fac = arnoldi_vandermonde(nodes, 250)
+        assert np.all(block_maxima(fac) > 100 * rounding_bound(nodes))
+
+    @pytest.mark.parametrize("degree", [0, 5, 40])    # 40: a full block and a partial one
+    def test_replay_is_bitwise_a_dense_replay_of_the_same_h(self, degree):
+        fac = arnoldi_vandermonde(circle_nodes(450), degree)
+        assert np.count_nonzero(np.triu(fac.h)) == 0
+        xy = sample_collocation(make_curve("circle"), 10001).points
+        rng = np.random.default_rng(degree)
+        z = rng.uniform(0.2, 1.0, xy.shape[0]) * (xy[:, 0] + 1j * xy[:, 1])
+        scratch = arnoldi.replay_scratch(degree, arnoldi.CHUNK)
+        got, want = np.empty((2, 2 * degree + 1, arnoldi.CHUNK))
+        for lo in range(0, z.shape[0], arnoldi.CHUNK):
+            block = z[lo : lo + arnoldi.CHUNK]
+            width = block.shape[0]
+            arnoldi.evaluate_basis(fac, block, scratch, got[:, :width])
+            complex_division_replay(fac, block, scratch, want[:, :width])
+            assert got[:, :width].tobytes() == want[:, :width].tobytes()
+
+
 def real_vander(nodes, degree):
     """[1, Re z, Im z, ..., Re z^p, Im z^p] by direct powers."""
     v = vander(nodes, degree)
